@@ -38,17 +38,13 @@
 use harmony_bench::baseline::{
     measure_scaling_point, peak_bytes, reset_peak, BenchBaseline, ScalingPoint, TrackingAllocator,
 };
-use harmony_bench::report::has_flag;
+use harmony_bench::report::{flag_value, has_flag};
 
 // The shared tracking allocator (bytes in use + peak): same accounting
 // overhead as `bench_baseline`, which writes the baseline this binary's
 // `--check` gate compares against.
 #[global_allocator]
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -86,22 +86,22 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
 /// Parses `--json <path>` style arguments: returns the path following the
 /// flag, if present.
 pub fn json_arg(args: &[String]) -> Option<std::path::PathBuf> {
-    args.windows(2)
-        .find(|w| w[0] == "--json")
-        .map(|w| std::path::PathBuf::from(&w[1]))
+    flag_value(args, "--json").map(std::path::PathBuf::from)
 }
 
 /// Parses `--profile <name>` style arguments, defaulting to `default`.
 pub fn profile_arg(args: &[String], default: &str) -> String {
-    args.windows(2)
-        .find(|w| w[0] == "--profile")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| default.to_string())
+    flag_value(args, "--profile").unwrap_or_else(|| default.to_string())
 }
 
 /// Returns true if the flag is present (e.g. `--quick`, `--dual-read`).
 pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The argument following the first `flag` (e.g. `--out <path>`), if any.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
 }
 
 #[cfg(test)]
@@ -154,5 +154,27 @@ mod tests {
         assert!(!has_flag(&args, "--dual-read"));
         assert_eq!(profile_arg(&[], "grid5000"), "grid5000");
         assert!(json_arg(&[]).is_none());
+    }
+
+    #[test]
+    fn flag_value_takes_the_next_argument() {
+        let args: Vec<String> = [
+            "--out",
+            "a.json",
+            "--quick",
+            "--tolerance",
+            "0.2",
+            "--out",
+            "b",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        assert_eq!(flag_value(&args, "--out").as_deref(), Some("a.json"));
+        assert_eq!(flag_value(&args, "--tolerance").as_deref(), Some("0.2"));
+        // A trailing flag has no value; an absent one neither.
+        assert_eq!(flag_value(&args[..3], "--quick"), None);
+        assert_eq!(flag_value(&args, "--check"), None);
+        assert_eq!(flag_value(&[], "--out"), None);
     }
 }

@@ -701,14 +701,15 @@ impl Cluster {
 
     /// Bulk-loads a row onto every replica without going through the message
     /// layer. Used for the workload load phase, mirroring a YCSB `load` run
-    /// that completes before the measured transaction phase starts.
+    /// that completes before the measured transaction phase starts. The
+    /// replicas share one `Arc<Row>` whose cells share `mutation`'s names and
+    /// values; a replica's first later write copies the row for itself.
     pub fn load_direct(&mut self, key: &str, mutation: &Mutation, timestamp: Timestamp) {
         let id = self.intern_key(key);
+        let row = Arc::new(mutation.to_row(timestamp));
         let replicas = self.replicas_for_id(id);
         for node in replicas.as_slice() {
-            self.nodes[node.index()]
-                .engine_mut()
-                .apply(id, mutation, timestamp);
+            self.nodes[node.index()].engine_mut().apply_row(id, &row);
         }
         let entry = &mut self.latest_acked[id.index()];
         if timestamp > *entry {
@@ -1435,7 +1436,7 @@ impl Cluster {
                 }
             }
             Message::RepairWrite { key, row } => {
-                self.nodes[node.index()].apply_repair(key, row.as_ref());
+                self.nodes[node.index()].apply_repair(key, &row);
             }
             // `Stage::of` returned `Some` above, so only the three
             // replica-work variants reach this match; the residual arm is

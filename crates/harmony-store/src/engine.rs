@@ -5,54 +5,39 @@
 //! before it is acknowledged; memtables are periodically flushed to immutable
 //! sorted tables (SSTables); reads merge the memtable and all SSTables using
 //! per-column last-write-wins reconciliation.
+//!
+//! Rows are `Arc<Row>`s of shared cells ([`crate::types`]), changed only
+//! through `Arc::make_mut`. That copy-on-write rule makes sharing safe: a row
+//! also held elsewhere — by a read response in flight, or by the other
+//! replicas of a bulk-loaded row, which all start from one `Arc<Row>` — is
+//! copied (refcounts only) by its first write, and the other holders keep
+//! reading the row as it was.
 
 use crate::keys::KeyId;
-use crate::types::{Cell, Mutation, Row, Timestamp};
+use crate::types::{Mutation, Row, Timestamp};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One durable commit-log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CommitLogEntry {
-    /// The (interned) row key written.
-    pub key: KeyId,
-    /// How many columns the mutation touched.
-    pub columns: usize,
-    /// The timestamp of the mutation.
-    pub timestamp: Timestamp,
-    /// Payload size in bytes.
-    pub size_bytes: usize,
-}
-
-/// An append-only commit log (sizes and counts only; payloads live in the
-/// memtable/SSTables, as replaying the log is not needed inside the simulator).
+/// An append-only commit log, kept as counts only: payloads live in the
+/// memtable/SSTables, as replaying the log is not needed inside the simulator.
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
-    entries: Vec<CommitLogEntry>,
+    records: usize,
     bytes: usize,
 }
 
 impl CommitLog {
-    /// An empty commit log.
-    pub fn new() -> Self {
-        CommitLog::default()
-    }
-
-    /// Appends a record.
-    pub fn append(&mut self, entry: CommitLogEntry) {
-        self.bytes += entry.size_bytes;
-        self.entries.push(entry);
+    /// Appends a record of `bytes` payload bytes.
+    pub fn append(&mut self, bytes: usize) {
+        self.records += 1;
+        self.bytes += bytes;
     }
 
     /// Number of records since the last truncation.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn records(&self) -> usize {
+        self.records
     }
 
     /// Total logged bytes since the last truncation.
@@ -62,8 +47,7 @@ impl CommitLog {
 
     /// Discards all records (called after a successful memtable flush).
     pub fn truncate(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
+        *self = CommitLog::default();
     }
 }
 
@@ -155,7 +139,7 @@ impl StorageEngine {
     pub fn new(config: EngineConfig) -> Self {
         StorageEngine {
             config,
-            commit_log: CommitLog::new(),
+            commit_log: CommitLog::default(),
             memtable: BTreeMap::new(),
             sstables: Vec::new(),
             stats: EngineStats::default(),
@@ -171,45 +155,25 @@ impl StorageEngine {
     /// upsert with per-column last-write-wins.
     pub fn apply(&mut self, key: KeyId, mutation: &Mutation, timestamp: Timestamp) {
         self.stats.writes += 1;
-        self.commit_log.append(CommitLogEntry {
-            key,
-            columns: mutation.columns.len(),
-            timestamp,
-            size_bytes: mutation.size_bytes(),
-        });
-        // `make_mut` clones only if a read response still shares this row —
-        // rare, and exactly the copy-on-write a shared store needs.
-        let entry = Arc::make_mut(self.memtable.entry(key).or_default());
-        for (name, value) in &mutation.columns {
-            match entry.columns.get(name) {
-                Some(existing) if existing.timestamp >= timestamp => {}
-                _ => {
-                    entry
-                        .columns
-                        .insert(name.clone(), Cell::new(value.clone(), timestamp));
-                }
-            }
-        }
-        if self.memtable.len() >= self.config.memtable_flush_rows {
-            self.flush();
-        }
+        self.commit_log.append(mutation.size_bytes());
+        Arc::make_mut(self.memtable.entry(key).or_default()).apply(mutation, timestamp);
+        self.maybe_flush();
     }
 
-    /// Applies an already-reconciled row (used by read repair and replica
-    /// synchronisation): every column merges by timestamp.
-    pub fn apply_row(&mut self, key: KeyId, row: &Row) {
+    /// Applies an already-reconciled row (bulk load, read repair and replica
+    /// synchronisation): every column merges by timestamp. A key with no
+    /// memtable entry takes the row itself, shared rather than copied.
+    pub fn apply_row(&mut self, key: KeyId, row: &Arc<Row>) {
         if row.is_empty() {
             return;
         }
         self.stats.writes += 1;
-        self.commit_log.append(CommitLogEntry {
-            key,
-            columns: row.columns.len(),
-            timestamp: row.latest_timestamp(),
-            size_bytes: row.size_bytes(),
-        });
-        let entry = Arc::make_mut(self.memtable.entry(key).or_default());
-        entry.merge_from(row);
+        self.commit_log.append(row.size_bytes());
+        merge_row(self.memtable.entry(key), row);
+        self.maybe_flush();
+    }
+
+    fn maybe_flush(&mut self) {
         if self.memtable.len() >= self.config.memtable_flush_rows {
             self.flush();
         }
@@ -222,27 +186,19 @@ impl StorageEngine {
     /// sources builds one fresh row.
     pub fn get(&mut self, key: KeyId) -> Option<Arc<Row>> {
         self.stats.reads += 1;
-        Row::merge_shared(
-            self.sstables
-                .iter()
-                .filter_map(|table| table.get(key))
-                .chain(self.memtable.get(&key)),
-        )
+        Row::merge_shared(self.sources(key))
     }
 
     /// The newest timestamp stored for a key, without counting as a data read
     /// (digest reads).
     pub fn digest(&self, key: KeyId) -> Option<Timestamp> {
-        let mut latest: Option<Timestamp> = None;
-        for table in &self.sstables {
-            if let Some(row) = table.get(key) {
-                latest = latest.max(Some(row.latest_timestamp()));
-            }
-        }
-        if let Some(row) = self.memtable.get(&key) {
-            latest = latest.max(Some(row.latest_timestamp()));
-        }
-        latest
+        self.sources(key).map(|row| row.latest_timestamp()).max()
+    }
+
+    /// Every stored version of `key`: SSTables oldest first, then the memtable.
+    fn sources(&self, key: KeyId) -> impl Iterator<Item = &Arc<Row>> {
+        let tables = self.sstables.iter().filter_map(move |table| table.get(key));
+        tables.chain(self.memtable.get(&key))
     }
 
     /// Flushes the memtable into a new SSTable and truncates the commit log.
@@ -289,16 +245,7 @@ impl StorageEngine {
             tables.push(self.sstables.remove(i));
         }
         tables.reverse(); // merge oldest-first, matching apply order
-        let mut merged: BTreeMap<KeyId, Arc<Row>> = BTreeMap::new();
-        for table in tables {
-            for (key, row) in table.rows {
-                Arc::make_mut(merged.entry(key).or_default()).merge_from(&row);
-            }
-        }
-        self.sstables.insert(
-            indices[0],
-            SsTable::from_sorted(merged.into_iter().collect()),
-        );
+        self.sstables.insert(indices[0], merge_tables(tables));
         self.stats.compactions += 1;
     }
 
@@ -307,14 +254,8 @@ impl StorageEngine {
         if self.sstables.len() <= 1 {
             return;
         }
-        let mut merged: BTreeMap<KeyId, Arc<Row>> = BTreeMap::new();
-        for table in self.sstables.drain(..) {
-            for (key, row) in table.rows {
-                Arc::make_mut(merged.entry(key).or_default()).merge_from(&row);
-            }
-        }
-        self.sstables
-            .push(SsTable::from_sorted(merged.into_iter().collect()));
+        let merged = merge_tables(std::mem::take(&mut self.sstables));
+        self.sstables.push(merged);
         self.stats.compactions += 1;
     }
 
@@ -337,14 +278,27 @@ impl StorageEngine {
     pub fn stats(&self) -> EngineStats {
         self.stats
     }
+}
 
-    /// Total number of distinct keys visible on this replica.
-    pub fn approximate_keys(&self) -> usize {
-        // Upper bound: memtable keys plus SSTable rows (duplicates across
-        // tables are counted once per table; exact counting would require a
-        // full merge).
-        self.memtable.len() + self.sstables.iter().map(|t| t.len()).sum::<usize>()
+/// Last-write-wins merge of `row` into one map slot. A vacant slot takes the
+/// row itself — shared, not copied.
+fn merge_row(slot: Entry<'_, KeyId, Arc<Row>>, row: &Arc<Row>) {
+    match slot {
+        Entry::Vacant(slot) => {
+            slot.insert(Arc::clone(row));
+        }
+        Entry::Occupied(mut slot) => Arc::make_mut(slot.get_mut()).merge_from(row),
     }
+}
+
+/// Merges `tables` (oldest first, matching apply order) into one table,
+/// reconciling duplicate keys by timestamp.
+fn merge_tables(tables: Vec<SsTable>) -> SsTable {
+    let mut merged: BTreeMap<KeyId, Arc<Row>> = BTreeMap::new();
+    for (key, row) in tables.into_iter().flat_map(|t| t.rows) {
+        merge_row(merged.entry(key), &row);
+    }
+    SsTable::from_sorted(merged.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -356,7 +310,7 @@ mod tests {
     }
 
     fn value_of(row: &Row, col: &str) -> String {
-        String::from_utf8(row.columns[col].value.clone()).unwrap()
+        String::from_utf8(row.get(col).unwrap().value.to_vec()).unwrap()
     }
 
     #[test]
@@ -411,10 +365,10 @@ mod tests {
         for i in 0..10 {
             e.apply(KeyId(i as u32), &mutation("f", "v"), Timestamp(i));
         }
-        assert_eq!(e.commit_log().len(), 10);
+        assert_eq!(e.commit_log().records(), 10);
         assert!(e.commit_log().bytes() > 0);
         e.flush();
-        assert!(e.commit_log().is_empty());
+        assert_eq!(e.commit_log().records(), 0);
         assert_eq!(e.sstable_count(), 1);
         assert_eq!(e.memtable_rows(), 0);
     }
@@ -519,15 +473,12 @@ mod tests {
     fn apply_row_merges_for_read_repair() {
         let mut e = StorageEngine::with_defaults();
         e.apply(KeyId(0), &mutation("f", "local"), Timestamp(1));
-        let mut repair = Row::new();
-        repair
-            .columns
-            .insert("f".into(), Cell::new(b"repaired".to_vec(), Timestamp(9)));
+        let repair = Arc::new(mutation("f", "repaired").to_row(Timestamp(9)));
         e.apply_row(KeyId(0), &repair);
         assert_eq!(value_of(&e.get(KeyId(0)).unwrap(), "f"), "repaired");
         // Empty repair rows are ignored entirely.
         let writes = e.stats().writes;
-        e.apply_row(KeyId(0), &Row::new());
+        e.apply_row(KeyId(0), &Arc::new(Row::new()));
         assert_eq!(e.stats().writes, writes);
     }
 
@@ -548,11 +499,11 @@ mod tests {
         let rows = vec![
             (
                 KeyId(0),
-                Arc::new(Mutation::single("f", vec![1]).into_row(Timestamp(1))),
+                Arc::new(Mutation::single("f", vec![1]).to_row(Timestamp(1))),
             ),
             (
                 KeyId(2),
-                Arc::new(Mutation::single("f", vec![2]).into_row(Timestamp(2))),
+                Arc::new(Mutation::single("f", vec![2]).to_row(Timestamp(2))),
             ),
         ];
         let t = SsTable::from_sorted(rows);

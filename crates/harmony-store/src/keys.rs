@@ -18,6 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compact interned row key: 4 bytes, `Copy`, hashable, ordered by
 /// interning order (not lexicographically — resolve through the
@@ -42,13 +43,14 @@ impl std::fmt::Display for KeyId {
 /// The bidirectional key interner: name → id and id → name.
 ///
 /// Interning an already-known name is a single hash lookup with no
-/// allocation; a new name allocates its `String` exactly once. Ids are never
-/// recycled — the table only grows, bounded by the number of distinct keys
-/// the workload touches (YCSB populations are fixed up front).
+/// allocation; a new name allocates once, an `Arc<str>` both directions
+/// share. Ids are never recycled — the table only grows, bounded by the
+/// number of distinct keys the workload touches (YCSB populations are fixed
+/// up front).
 #[derive(Debug, Default, Clone)]
 pub struct KeyTable {
-    names: Vec<String>,
-    ids: HashMap<String, KeyId>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, KeyId>,
 }
 
 impl KeyTable {
@@ -84,8 +86,9 @@ impl KeyTable {
             return id;
         }
         let id = KeyId(u32::try_from(self.names.len()).expect("key table full"));
-        self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         id
     }
 
@@ -104,7 +107,7 @@ impl KeyTable {
 
     /// The name behind an id, or `None` for a foreign id.
     pub fn try_resolve(&self, id: KeyId) -> Option<&str> {
-        self.names.get(id.index()).map(String::as_str)
+        self.names.get(id.index()).map(|name| &**name)
     }
 }
 

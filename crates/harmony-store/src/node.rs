@@ -262,7 +262,7 @@ impl StorageNode {
     }
 
     /// Applies a repair row (read repair / async propagation).
-    pub fn apply_repair(&mut self, key: KeyId, row: &Row) {
+    pub fn apply_repair(&mut self, key: KeyId, row: &std::sync::Arc<Row>) {
         self.counters.repairs += 1;
         self.engine.apply_row(key, row);
     }
@@ -315,7 +315,8 @@ mod tests {
     fn repair_merges_and_counts_separately() {
         let mut n = StorageNode::new(NodeId(0), EngineConfig::default(), 1);
         n.apply_write(K, &Mutation::single("f", b"old".to_vec()), Timestamp(1));
-        let repair = Mutation::single("f", b"new".to_vec()).into_row(Timestamp(5));
+        let repair =
+            std::sync::Arc::new(Mutation::single("f", b"new".to_vec()).to_row(Timestamp(5)));
         n.apply_repair(K, &repair);
         assert_eq!(n.serve_read(K).unwrap().latest_timestamp(), Timestamp(5));
         assert_eq!(n.counters().repairs, 1);

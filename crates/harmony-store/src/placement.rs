@@ -15,7 +15,6 @@ use crate::hashring::HashRing;
 use crate::keys::KeyId;
 use harmony_sim::topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Upper bound on the replication factor the inline replica-set cache
 /// supports. The paper's deployments use RF = 5; the bound leaves headroom
@@ -182,19 +181,20 @@ impl ReplicationStrategy {
             ReplicationStrategy::Simple => ring.preference_list(key, rf),
             ReplicationStrategy::NetworkTopology => {
                 let mut chosen: Vec<NodeId> = Vec::with_capacity(rf);
-                let mut used_racks: HashSet<(u16, u16)> = HashSet::new();
-                let mut used_dcs: HashSet<u16> = HashSet::new();
                 let candidates = ring.preference_list(key, topology.len());
+                // "Already covered" scans the few chosen replicas instead of
+                // keeping sets: a node's DC (rack) is covered exactly when a
+                // chosen replica sits in it, and a chosen node covers itself.
+                let dc = |n: NodeId| topology.location(n).dc;
+                // A rack is identified by its location (datacenter and rack).
+                let rack = |n: NodeId| topology.location(n);
 
                 // Pass 1: nodes in datacenters not yet covered.
                 for &node in &candidates {
                     if chosen.len() == rf {
                         break;
                     }
-                    let loc = topology.location(node);
-                    if !used_dcs.contains(&loc.dc) && !chosen.contains(&node) {
-                        used_dcs.insert(loc.dc);
-                        used_racks.insert((loc.dc, loc.rack));
+                    if !chosen.iter().any(|&c| dc(c) == dc(node)) {
                         chosen.push(node);
                     }
                 }
@@ -203,9 +203,7 @@ impl ReplicationStrategy {
                     if chosen.len() == rf {
                         break;
                     }
-                    let loc = topology.location(node);
-                    if !used_racks.contains(&(loc.dc, loc.rack)) && !chosen.contains(&node) {
-                        used_racks.insert((loc.dc, loc.rack));
+                    if !chosen.iter().any(|&c| rack(c) == rack(node)) {
                         chosen.push(node);
                     }
                 }

@@ -246,15 +246,32 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+impl Deserialize for Box<str> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        String::from_value(v).map(String::into_boxed_str)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Vec::<T>::from_value(v).map(Vec::into_boxed_slice)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
 }
 
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+/// Like upstream serde's `rc` feature: any `Arc<T>` whose `Box<T>`
+/// deserializes, unsized `Arc<str>` and `Arc<[T]>` included.
+impl<T: ?Sized> Deserialize for std::sync::Arc<T>
+where
+    Box<T>: Deserialize,
+{
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(std::sync::Arc::new)
+        Box::<T>::from_value(v).map(Into::into)
     }
 }
 
@@ -477,6 +494,18 @@ mod tests {
             <(u8, String)>::from_value(&t.to_value()).unwrap(),
             (1u8, "x".to_string())
         );
+    }
+
+    #[test]
+    fn shared_unsized_round_trip() {
+        use std::sync::Arc;
+        let name: Arc<str> = Arc::from("field0");
+        assert_eq!(Arc::<str>::from_value(&name.to_value()).unwrap(), name);
+        let bytes: Arc<[u8]> = Arc::from(vec![1u8, 2, 3]);
+        assert_eq!(Arc::<[u8]>::from_value(&bytes.to_value()).unwrap(), bytes);
+        let sized = Arc::new(7u16);
+        assert_eq!(Arc::<u16>::from_value(&sized.to_value()).unwrap(), sized);
+        assert!(Arc::<str>::from_value(&Value::I64(1)).is_err());
     }
 
     #[test]
