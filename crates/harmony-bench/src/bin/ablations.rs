@@ -14,7 +14,7 @@
 
 use harmony_adaptive::config::ControllerConfig;
 use harmony_bench::experiments::{
-    grid5000_experiment_config, run_point, ExperimentConfig, PolicySpec,
+    grid5000_experiment_config, point_runner, ExperimentConfig, PolicySpec,
 };
 use harmony_bench::report::{has_flag, Table};
 use harmony_monitor::collector::EstimatorKind;
@@ -79,7 +79,7 @@ fn main() {
             },
             ..ControllerConfig::default()
         };
-        let result = run_point(&config, &PolicySpec::Harmony(0.2), threads, false);
+        let result = point_runner(&config, &PolicySpec::Harmony(0.2), threads, false).run();
         row_from(&mut table, label, &result);
     }
     println!("{table}");
@@ -90,7 +90,7 @@ fn main() {
     for period in [0.25, 1.0, 4.0] {
         let mut config = scaled(quick);
         config.controller.monitor.interval_secs = period;
-        let result = run_point(&config, &PolicySpec::Harmony(0.2), threads, false);
+        let result = point_runner(&config, &PolicySpec::Harmony(0.2), threads, false).run();
         row_from(&mut table, &format!("period {period:.2} s"), &result);
     }
     println!("{table}");
@@ -103,7 +103,7 @@ fn main() {
     for chance in [0.0, 0.1, 1.0] {
         let mut config = scaled(quick);
         config.store.background_read_repair_chance = chance;
-        let result = run_point(&config, &PolicySpec::Eventual, threads, false);
+        let result = point_runner(&config, &PolicySpec::Eventual, threads, false).run();
         row_from(
             &mut table,
             &format!("read_repair_chance {chance:.1}"),
@@ -121,7 +121,7 @@ fn main() {
         PolicySpec::Harmony(0.4),
     ] {
         let config = scaled(quick);
-        let result = run_point(&config, &policy, threads, false);
+        let result = point_runner(&config, &policy, threads, false).run();
         row_from(&mut table, &policy.label(), &result);
     }
     println!("{table}");

@@ -42,9 +42,7 @@ use harmony_bench::baseline::{
     allocation_calls, append_history, measure_scaling_point, BenchBaseline, ScalingPoint,
     SweepBaseline, TrackingAllocator,
 };
-use harmony_bench::experiments::{
-    config_by_name, run_point, run_point_with_obs, ExperimentConfig, PolicySpec,
-};
+use harmony_bench::experiments::{config_by_name, point_runner, ExperimentConfig, PolicySpec};
 use harmony_bench::report::{flag_value, has_flag};
 use harmony_ycsb::ObsConfig;
 use std::time::Instant;
@@ -107,7 +105,7 @@ fn run_sweep(name: &str, points: &[SweepPoint]) -> SweepBaseline {
     let allocs_before = allocation_calls();
     let started = Instant::now();
     for (config, policy, threads) in points {
-        let result = run_point(config, policy, *threads, false);
+        let result = point_runner(config, policy, *threads, false).run();
         operations += result.stats.operations;
         read_latency.merge(&result.stats.read_latency);
     }
@@ -138,15 +136,19 @@ fn measure_obs_overhead(rounds: usize) -> f64 {
         let started = Instant::now();
         let mut operations = 0u64;
         for (config, policy, threads) in &points {
-            operations += run_point(config, policy, *threads, false).stats.operations;
+            operations += point_runner(config, policy, *threads, false)
+                .run()
+                .stats
+                .operations;
         }
         let plain = operations as f64 / started.elapsed().as_secs_f64().max(1e-9);
 
         let started = Instant::now();
         let mut obs_operations = 0u64;
         for (config, policy, threads) in &points {
-            let (result, report) =
-                run_point_with_obs(config, policy, *threads, false, ObsConfig::enabled());
+            let (result, report) = point_runner(config, policy, *threads, false)
+                .with_obs(ObsConfig::enabled())
+                .run_with_obs();
             obs_operations += result.stats.operations;
             // Touch the report so the exporter work cannot be optimised out.
             assert!(!report.prometheus_text().is_empty());

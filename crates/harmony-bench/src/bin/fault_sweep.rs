@@ -31,8 +31,7 @@
 //! audit records around the crash).
 
 use harmony_bench::experiments::{
-    config_by_name, run_workload_point_with_faults, run_workload_point_with_obs, ExperimentConfig,
-    PolicySpec,
+    config_by_name, workload_point_runner, ExperimentConfig, PolicySpec,
 };
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
@@ -73,7 +72,7 @@ fn run_point(
     threads: usize,
     faults: FaultSchedule,
 ) -> ExperimentResult {
-    run_workload_point_with_faults(
+    workload_point_runner(
         config,
         zipfian_workload(config),
         policy,
@@ -82,8 +81,9 @@ fn run_point(
         // The split controller: hot keys get individual decisions, which is
         // exactly what must hold the hot-key stale rate through a fault.
         matches!(policy, PolicySpec::Harmony(_)),
-        faults,
     )
+    .with_faults(faults)
+    .run()
 }
 
 fn main() {
@@ -263,16 +263,17 @@ fn dump_observed_crash(
         trace_sample_every: 4,
         ..harmony_ycsb::ObsConfig::enabled()
     };
-    let (result, report) = run_workload_point_with_obs(
+    let (result, report) = workload_point_runner(
         config,
         zipfian_workload(config),
         policy,
         threads,
         HOT_PREFIX,
         true,
-        faults,
-        obs,
-    );
+    )
+    .with_faults(faults)
+    .with_obs(obs)
+    .run_with_obs();
     println!();
     println!(
         "=== observed crash-hot rerun ({} ops, {} fault event(s) applied) ===",

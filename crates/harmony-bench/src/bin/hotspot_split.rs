@@ -17,7 +17,7 @@
 //!   cargo run --release -p harmony-bench --bin hotspot_split -- --profile ec2
 //! Flags: `--quick`, `--json <path>`, `--tolerance <frac>`, `--threads <n>`.
 
-use harmony_bench::experiments::{config_by_name, run_workload_point, PolicySpec, SkewRow};
+use harmony_bench::experiments::{config_by_name, workload_point_runner, PolicySpec, SkewRow};
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_ycsb::workloads::{RequestDistribution, WorkloadSpec};
 
@@ -103,14 +103,15 @@ fn main() {
             .into_iter()
             .chain(baselines.iter().map(|p| (*p, false)))
         {
-            let result = run_workload_point(
+            let result = workload_point_runner(
                 &config,
                 workload.clone(),
                 &policy,
                 threads,
                 hot_prefix,
                 split,
-            );
+            )
+            .run();
             let row = SkewRow::from_result(&policy, split, threads, &result);
             table.add_row(vec![
                 row.policy.clone(),

@@ -23,13 +23,14 @@
 //!   cargo run --release -p harmony-bench --bin proactive_sweep -- --quick
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2>`.
 
+use harmony_adaptive::controller::AdaptiveController;
 use harmony_bench::experiments::{
     config_by_name, enable_proactive, scaled_workload_a, ExperimentConfig, PolicySpec,
 };
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
 use harmony_sim::topology::NodeId;
-use harmony_ycsb::runner::{run_experiment_with_faults, ExperimentResult, ExperimentSpec, Phase};
+use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Phase, Runner};
 use serde::Serialize;
 
 /// One (scenario, controller) sweep point.
@@ -84,14 +85,11 @@ fn run(
         hot_key_prefix: 0,
         max_virtual_secs: 3_600.0,
     };
-    run_experiment_with_faults(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-    )
+    let rf = config.store.replication_factor;
+    let controller = AdaptiveController::new(controller, rf, policy.build(rf));
+    Runner::new(&config.profile, config.store.clone(), controller, spec)
+        .with_faults(faults)
+        .run()
 }
 
 /// Monitoring periods between `step_secs` and the first decision at/after it

@@ -36,7 +36,7 @@
 //! Flags: `--quick`, `--json <path>`, `--profile <grid5000|ec2|multi-dc>`.
 
 use harmony_bench::experiments::{
-    config_by_name, run_workload_point_with_retry, ExperimentConfig, PolicySpec,
+    config_by_name, workload_point_runner, ExperimentConfig, PolicySpec,
 };
 use harmony_bench::report::{has_flag, json_arg, profile_arg, Table};
 use harmony_chaos::FaultSchedule;
@@ -150,7 +150,7 @@ fn main() {
     );
 
     let run = |config: &ExperimentConfig, faults: FaultSchedule, retry: RetryPolicy| {
-        run_workload_point_with_retry(
+        workload_point_runner(
             config,
             zipfian_workload(config),
             &harmony,
@@ -159,9 +159,10 @@ fn main() {
             // The *global* controller: the default read level carries the
             // escalation, so `replicas_in_read` is the relax signal.
             false,
-            faults,
-            retry,
         )
+        .with_faults(faults)
+        .with_retry(retry)
+        .run()
     };
 
     // The no-faults baseline calibrates the schedule: the cut lands mid-run

@@ -8,17 +8,13 @@
 //! of the two platforms, and the tolerated-stale-read settings per platform.
 
 use harmony_adaptive::config::{ControllerConfig, PerKeySplitConfig};
+use harmony_adaptive::controller::AdaptiveController;
 use harmony_adaptive::policy::{ConsistencyPolicy, HarmonyPolicy, StaticPolicy};
-use harmony_chaos::FaultSchedule;
 use harmony_model::queueing::ProactiveConfig;
 use harmony_sim::profiles::{self, ClusterProfile};
 use harmony_store::config::StoreConfig;
-use harmony_ycsb::runner::{
-    run_experiment, run_experiment_with_faults, run_experiment_with_obs, run_experiment_with_retry,
-    ExperimentResult, ExperimentSpec, Phase, RetryPolicy,
-};
+use harmony_ycsb::runner::{ExperimentResult, ExperimentSpec, Phase, Runner};
 use harmony_ycsb::workloads::WorkloadSpec;
-use harmony_ycsb::{ObsConfig, ObsReport};
 use serde::{Deserialize, Serialize};
 
 /// The client thread counts swept in Figures 5 and 6.
@@ -335,141 +331,28 @@ pub struct SkewRow {
     pub hot_set_size: usize,
 }
 
-/// Runs one experiment for an explicit workload (skew sweeps), optionally
-/// with the per-key split controller instead of the global one.
-pub fn run_workload_point(
+/// Builds the runner of one experiment for an explicit workload (skew and
+/// fault sweeps), optionally with the per-key split controller instead of
+/// the global one. Callers attach faults, retries or observability through
+/// the [`Runner`] builder before running it.
+pub fn workload_point_runner(
     config: &ExperimentConfig,
     workload: WorkloadSpec,
     policy: &PolicySpec,
     threads: usize,
     hot_key_prefix: u64,
     split: bool,
-) -> ExperimentResult {
-    run_workload_point_with_faults(
-        config,
-        workload,
-        policy,
-        threads,
-        hot_key_prefix,
-        split,
-        FaultSchedule::empty(),
-    )
-}
-
-/// [`run_workload_point`] with a fault schedule replayed during the run —
-/// the entry point of the `fault_sweep` scenarios. An empty schedule is
-/// byte-identical to the fault-free form.
-pub fn run_workload_point_with_faults(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-    faults: FaultSchedule,
-) -> ExperimentResult {
-    let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix,
-        max_virtual_secs: 3_600.0,
-    };
+) -> Runner {
     let controller = if split {
         enable_split(config.controller)
     } else {
         config.controller
     };
-    run_experiment_with_faults(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-    )
-}
-
-/// [`run_workload_point_with_faults`] with the observability layer switched
-/// on: sampled per-op traces, the flight recorder, the metrics registry and
-/// the controller decision audit ride along and come back as an
-/// [`ObsReport`]. `ObsConfig::off()` reproduces the fault-aware form byte
-/// for byte.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_point_with_obs(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-    faults: FaultSchedule,
-    obs: ObsConfig,
-) -> (ExperimentResult, ObsReport) {
     let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
         hot_key_prefix,
-        max_virtual_secs: 3_600.0,
+        ..point_spec(config, workload, threads)
     };
-    let controller = if split {
-        enable_split(config.controller)
-    } else {
-        config.controller
-    };
-    run_experiment_with_obs(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-        obs,
-    )
-}
-
-/// [`run_workload_point_with_faults`] with a client-side retry/hedging
-/// policy in the loop — the entry point of the `repair_sweep` arms. The
-/// repair knobs themselves are carried by the config (the store's
-/// anti-entropy interval, the controller's repair-aware staleness model); a
-/// default retry policy plus an unarmed config is byte-identical to the
-/// fault-aware form.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_point_with_retry(
-    config: &ExperimentConfig,
-    workload: WorkloadSpec,
-    policy: &PolicySpec,
-    threads: usize,
-    hot_key_prefix: u64,
-    split: bool,
-    faults: FaultSchedule,
-    retry: RetryPolicy,
-) -> ExperimentResult {
-    let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
-        dual_read_measurement: false,
-        hot_key_prefix,
-        max_virtual_secs: 3_600.0,
-    };
-    let controller = if split {
-        enable_split(config.controller)
-    } else {
-        config.controller
-    };
-    run_experiment_with_retry(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        faults,
-        retry,
-    )
+    runner(config, controller, policy, spec)
 }
 
 impl SkewRow {
@@ -499,58 +382,44 @@ impl SkewRow {
     }
 }
 
-/// Runs one experiment for a (policy, thread count) point.
-pub fn run_point(
+/// Builds the runner of one (policy, thread count) point on the scaled
+/// workload A: the figure sweeps run it plain, the obs-overhead gate also
+/// with [`Runner::with_obs`].
+pub fn point_runner(
     config: &ExperimentConfig,
     policy: &PolicySpec,
     threads: usize,
     dual_read: bool,
-) -> ExperimentResult {
-    let workload = scaled_workload_a(config.records);
+) -> Runner {
     let spec = ExperimentSpec {
-        workload,
-        phases: vec![Phase::new(threads, config.operations_for(threads))],
-        seed: config.seed,
         dual_read_measurement: dual_read,
-        hot_key_prefix: 0,
-        max_virtual_secs: 3_600.0,
+        ..point_spec(config, scaled_workload_a(config.records), threads)
     };
-    run_experiment(
-        &config.profile,
-        config.store.clone(),
-        config.controller,
-        policy.build(config.store.replication_factor),
-        spec,
-    )
+    runner(config, config.controller, policy, spec)
 }
 
-/// [`run_point`] with the observability layer on — the arm the
-/// obs-overhead gate times against the plain form.
-pub fn run_point_with_obs(
-    config: &ExperimentConfig,
-    policy: &PolicySpec,
-    threads: usize,
-    dual_read: bool,
-    obs: ObsConfig,
-) -> (ExperimentResult, ObsReport) {
-    let workload = scaled_workload_a(config.records);
-    let spec = ExperimentSpec {
+/// The single-phase spec of a sweep point: `threads` sessions running the
+/// config's operation budget for that thread count.
+fn point_spec(config: &ExperimentConfig, workload: WorkloadSpec, threads: usize) -> ExperimentSpec {
+    ExperimentSpec {
         workload,
         phases: vec![Phase::new(threads, config.operations_for(threads))],
         seed: config.seed,
-        dual_read_measurement: dual_read,
+        dual_read_measurement: false,
         hot_key_prefix: 0,
         max_virtual_secs: 3_600.0,
-    };
-    run_experiment_with_obs(
-        &config.profile,
-        config.store.clone(),
-        config.controller,
-        policy.build(config.store.replication_factor),
-        spec,
-        FaultSchedule::empty(),
-        obs,
-    )
+    }
+}
+
+fn runner(
+    config: &ExperimentConfig,
+    controller: ControllerConfig,
+    policy: &PolicySpec,
+    spec: ExperimentSpec,
+) -> Runner {
+    let rf = config.store.replication_factor;
+    let controller = AdaptiveController::new(controller, rf, policy.build(rf));
+    Runner::new(&config.profile, config.store.clone(), controller, spec)
 }
 
 /// Runs the full thread-count sweep for every policy in `policies`.
@@ -563,7 +432,7 @@ pub fn run_policy_sweep(
     let mut rows = Vec::new();
     for policy in policies {
         for &threads in thread_counts {
-            let result = run_point(config, policy, threads, dual_read);
+            let result = point_runner(config, policy, threads, dual_read).run();
             rows.push(SweepRow::from_result(policy, threads, &result));
         }
     }

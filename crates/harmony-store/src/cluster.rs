@@ -129,6 +129,38 @@ pub struct ClusterTotals {
     pub ae_rows_streamed: u64,
 }
 
+impl ClusterTotals {
+    /// Adds `other`'s counters to these (the sharded runtime folds one
+    /// total per shard). The exhaustive destructure makes a new field a
+    /// compile error here instead of a silently dropped counter.
+    pub fn absorb(&mut self, other: &ClusterTotals) {
+        let ClusterTotals {
+            reads_submitted,
+            writes_submitted,
+            reads_completed,
+            writes_completed,
+            stale_reads,
+            repairs_issued,
+            ops_aborted,
+            protocol_drops,
+            hints_evicted,
+            ae_rounds,
+            ae_rows_streamed,
+        } = *other;
+        self.reads_submitted += reads_submitted;
+        self.writes_submitted += writes_submitted;
+        self.reads_completed += reads_completed;
+        self.writes_completed += writes_completed;
+        self.stale_reads += stale_reads;
+        self.repairs_issued += repairs_issued;
+        self.ops_aborted += ops_aborted;
+        self.protocol_drops += protocol_drops;
+        self.hints_evicted += hints_evicted;
+        self.ae_rounds += ae_rounds;
+        self.ae_rows_streamed += ae_rows_streamed;
+    }
+}
+
 /// Replica read responses collected inline (no per-read heap allocation):
 /// at most [`MAX_RF`] `(replica, row)` pairs.
 #[derive(Debug, Clone)]

@@ -89,11 +89,6 @@ impl ShardPartition {
         KeyId(self.local_to_global(local.index()) as u32)
     }
 
-    /// Translates an owned *global* id back to this shard's *local* id.
-    pub fn global_key_to_local(&self, global: KeyId) -> KeyId {
-        KeyId(self.global_to_local(global.index()) as u32)
-    }
-
     /// The smallest global record index `>= floor` owned by this shard —
     /// where this shard's insert sequence starts so that concurrent shard
     /// inserts never collide on a global record name.
@@ -126,10 +121,6 @@ mod tests {
                 assert_eq!(
                     owner.local_key_to_global(KeyId(local as u32)),
                     KeyId(global as u32)
-                );
-                assert_eq!(
-                    owner.global_key_to_local(KeyId(global as u32)),
-                    KeyId(local as u32)
                 );
             }
         }

@@ -6,12 +6,16 @@
 //! read, latency/throughput statistics, and the two staleness-measurement
 //! mechanisms (simulator ground truth, and the paper's dual-read method).
 //!
-//! The main entry point is [`runner::run_experiment`], which assembles the
-//! cluster from a [`harmony_sim::profiles::ClusterProfile`], performs the
-//! load phase, runs the transaction phases under the given policy, and
-//! returns an [`runner::ExperimentResult`] with everything the paper's
-//! figures plot: 99th-percentile read latency, throughput, stale-read counts
-//! and the stale-read-estimate timeline.
+//! The entry point is the [`runner::Runner`] builder: [`runner::Runner::new`]
+//! assembles the cluster from a [`harmony_sim::profiles::ClusterProfile`]
+//! and performs the load phase; `with_faults`, `with_retry` and `with_obs`
+//! attach the optional layers; `run` (or `run_with_obs`) executes the
+//! transaction phases under the given policy and returns an
+//! [`runner::ExperimentResult`] with everything the paper's figures plot:
+//! 99th-percentile read latency, throughput, stale-read counts and the
+//! stale-read-estimate timeline. [`runner::run_experiment`] is the
+//! shorthand for a plain run, and [`sharded::run_sharded_experiment`] runs
+//! one `Runner` per keyspace stripe on its own thread.
 //!
 //! ## Example
 //!
@@ -48,9 +52,8 @@ pub mod workloads;
 pub mod prelude {
     pub use crate::distributions::{record_key, KeyChooser};
     pub use crate::runner::{
-        run_experiment, run_experiment_with_faults, run_experiment_with_obs,
-        run_experiment_with_retry, ExperimentResult, ExperimentSpec, Phase, PhaseResult,
-        RetryPolicy, Runner, RunnerEvent, CHAOS_OP_TIMEOUT,
+        run_experiment, ExperimentResult, ExperimentSpec, Phase, PhaseResult, RetryPolicy, Runner,
+        RunnerEvent, CHAOS_OP_TIMEOUT,
     };
     pub use crate::sharded::{run_sharded_experiment, run_sharded_experiment_with_obs};
     pub use crate::stats::{LatencyHistogram, LatencySummary, RunStats};

@@ -9,12 +9,13 @@
 //! the thread-count sweeps of Figures 4-6.
 
 use crate::distributions::{record_key, KeyChooser};
+use crate::sharded::ShardLink;
 use crate::stats::RunStats;
 use crate::workloads::{Operation, WorkloadSpec};
 use harmony_adaptive::controller::{AdaptiveController, DecisionRecord, HotKeyDecision};
 use harmony_adaptive::policy::ConsistencyPolicy;
 use harmony_chaos::{FaultCounters, FaultEvent, FaultSchedule};
-use harmony_obs::{MetricsRegistry, ObsConfig, ObsReport, SpanKind};
+use harmony_obs::{FlightRecorder, MetricsRegistry, ObsConfig, ObsReport, SpanKind};
 use harmony_sim::clock::SimTime;
 use harmony_sim::engine::Simulation;
 use harmony_sim::profiles::ClusterProfile;
@@ -328,38 +329,35 @@ struct OpMeta {
     purpose: Purpose,
 }
 
-/// Sharded-mode state of one [`Runner`]: the keyspace stripe this event loop
-/// owns and the consistency levels the coordinator last broadcast. When
-/// present, issue paths consult this table instead of the (placeholder)
-/// local controller — the real controller lives on the coordinator and sees
-/// the merged cluster view.
-pub(crate) struct ShardContext {
-    /// This event loop's stripe of the global keyspace.
-    pub(crate) partition: ShardPartition,
-    /// Records owned locally during the load phase; local ids below this are
-    /// load-phase keys with purely arithmetic global ids.
-    pub(crate) local_records: usize,
-    /// The first global record index this shard's inserts use; the `k`-th
+/// The keyspace stripe one [`Runner`] owns: the whole keyspace in a classic
+/// run (`ShardPartition::new(0, 1)`, where every mapping below is the
+/// identity), one strided slice in a shard of a sharded run. Records load in
+/// ascending global order, so local interned ids are dense and the
+/// local↔global mapping is pure arithmetic.
+pub(crate) struct Stripe {
+    partition: ShardPartition,
+    /// Records loaded locally; local ids below this are load-phase keys with
+    /// purely arithmetic global ids.
+    local_records: usize,
+    /// The first global record index this stripe's inserts use; the `k`-th
     /// insert names global record `insert_base + k * shards`, keeping insert
-    /// names disjoint across shards and owned locally.
-    pub(crate) insert_base: u64,
-    /// Default read level from the last coordinator directive.
-    pub(crate) default_read: ConsistencyLevel,
-    /// Write level from the last coordinator directive.
-    pub(crate) write: ConsistencyLevel,
-    /// Escalated per-key read levels (local ids) from the last directive.
-    pub(crate) hot: HashMap<KeyId, ConsistencyLevel>,
+    /// names disjoint across stripes and owned locally.
+    insert_base: u64,
 }
 
-impl ShardContext {
+impl Stripe {
+    /// The global record index the `k`-th insert names.
+    fn insert_record(&self, k: u64) -> u64 {
+        self.insert_base + k * self.partition.shards() as u64
+    }
+
     /// Translates a *local* interned id to the coordinator's *global* id.
     pub(crate) fn local_to_global_key(&self, id: KeyId) -> KeyId {
         let l = id.index();
         if l < self.local_records {
             self.partition.local_key_to_global(id)
         } else {
-            let k = (l - self.local_records) as u64;
-            KeyId((self.insert_base + k * self.partition.shards() as u64) as u32)
+            KeyId(self.insert_record((l - self.local_records) as u64) as u32)
         }
     }
 
@@ -383,15 +381,45 @@ impl ShardContext {
     }
 }
 
-/// The experiment runner. Most users call [`run_experiment`] instead of
-/// driving this type directly.
+/// The consistency levels one control step decides: the default read level,
+/// the write level and the escalated hot keys. A classic run takes them from
+/// its own controller; a sharded coordinator broadcasts them (hot keys in
+/// global ids) to every shard at each monitoring tick.
+#[derive(Clone)]
+pub(crate) struct Levels {
+    pub(crate) default_read: ConsistencyLevel,
+    pub(crate) write: ConsistencyLevel,
+    pub(crate) hot: HashMap<KeyId, ConsistencyLevel>,
+}
+
+impl Levels {
+    /// The levels `controller` currently decides.
+    pub(crate) fn of(controller: &AdaptiveController) -> Self {
+        Levels {
+            default_read: controller.current_read_level(),
+            write: controller.current_write_level(),
+            hot: controller
+                .hot_set()
+                .iter()
+                .map(|h| (h.key_id, controller.read_level_for(h.key_id)))
+                .collect(),
+        }
+    }
+}
+
+/// The experiment runner: the modified YCSB client of the paper. Build one
+/// with [`Runner::new`], attach options with [`Runner::with_faults`],
+/// [`Runner::with_retry`] and [`Runner::with_obs`], then call
+/// [`Runner::run`] or [`Runner::run_with_obs`]. [`run_experiment`] is the
+/// shorthand for a plain run; [`crate::sharded`] runs one `Runner` per
+/// keyspace stripe.
 pub struct Runner {
     pub(crate) cluster: Cluster,
     pub(crate) sim: Simulation<RunnerEvent>,
-    pub(crate) controller: AdaptiveController,
-    pub(crate) spec: ExperimentSpec,
+    controller: AdaptiveController,
+    spec: ExperimentSpec,
     /// The fault schedule to replay (empty = no chaos layer at all).
-    pub(crate) faults: FaultSchedule,
+    faults: FaultSchedule,
     profile_name: String,
     key_chooser: KeyChooser,
     workload_rng: StdRng,
@@ -405,12 +433,14 @@ pub struct Runner {
     field_mutations: Vec<Arc<Mutation>>,
     /// The designated hot keys whose reads are tallied separately.
     hot_report_keys: HashSet<KeyId>,
-    pub(crate) session_active: Vec<bool>,
-    pub(crate) current_phase: usize,
+    session_active: Vec<bool>,
+    current_phase: usize,
     phase_completed_ops: u64,
     insert_counter: u64,
-    /// Sharded-mode stripe + directive state (`None` = classic single loop).
-    pub(crate) shard: Option<ShardContext>,
+    /// The keyspace stripe this runner owns (all of it in a classic run).
+    pub(crate) stripe: Stripe,
+    /// The levels the issue paths read; the control step rewrites them.
+    pub(crate) levels: Levels,
     /// Client retry/hedging policy (default: fully disabled).
     retry: RetryPolicy,
     /// Retry context per in-flight op; only populated while the policy is
@@ -427,10 +457,10 @@ pub struct Runner {
     /// Observability knobs (default: all off — byte-identical runs).
     pub(crate) obs: ObsConfig,
     // Accumulated output.
-    pub(crate) stats: RunStats,
-    pub(crate) phase_results: Vec<PhaseResult>,
-    pub(crate) phase_stats: RunStats,
-    pub(crate) read_level_histogram: BTreeMap<usize, u64>,
+    stats: RunStats,
+    phase_results: Vec<PhaseResult>,
+    phase_stats: RunStats,
+    read_level_histogram: BTreeMap<usize, u64>,
 }
 
 impl Runner {
@@ -442,96 +472,42 @@ impl Runner {
         controller: AdaptiveController,
         spec: ExperimentSpec,
     ) -> Self {
-        spec.validate()
-            .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let factory = RngFactory::new(spec.seed);
-        let mut cluster = Cluster::new(
+        let seed = spec.seed;
+        Self::for_stripe(
+            profile,
             store_config,
-            profile.topology.clone(),
-            profile.network.clone(),
-            factory,
-        );
-        // Load phase (YCSB "load"): populate every record on all its replicas.
-        // Interning happens here, in record order, so record `i` gets the
-        // dense id `KeyId(i)` and the transaction phase never touches a key
-        // string again.
-        let row_template = Mutation::ycsb_row(spec.workload.field_count, spec.workload.field_size);
-        let mut record_ids = Vec::with_capacity(spec.workload.record_count as usize);
-        for i in 0..spec.workload.record_count {
-            let name = record_key(i);
-            cluster.load_direct(&name, &row_template, Timestamp(i + 1));
-            record_ids.push(cluster.key_id(&name).expect("just loaded"));
-        }
-        let hot_report_keys = (0..spec.hot_key_prefix)
-            .map(|i| cluster.intern_key(&record_key(i)))
-            .collect();
-        let field_mutations = (0..spec.workload.field_count)
-            .map(|f| {
-                Arc::new(Mutation::single(
-                    format!("field{f}"),
-                    vec![b'u'; spec.workload.field_size],
-                ))
-            })
-            .collect();
-        let max_threads = spec.phases.iter().map(|p| p.threads).max().unwrap_or(1);
-        let key_chooser = spec.workload.key_chooser();
-        Runner {
-            cluster,
-            sim: Simulation::new(spec.seed),
             controller,
-            faults: FaultSchedule::empty(),
-            workload_rng: factory.stream("workload"),
-            key_chooser,
-            profile_name: profile.name.clone(),
-            in_flight: HashMap::new(),
-            record_ids,
-            field_mutations,
-            hot_report_keys,
-            session_active: vec![false; max_threads],
-            current_phase: 0,
-            phase_completed_ops: 0,
-            insert_counter: 0,
-            shard: None,
-            retry: RetryPolicy::default(),
-            retry_ctx: HashMap::new(),
-            pending_retries: HashMap::new(),
-            hedge_checks: HashMap::new(),
-            hedge_partner: HashMap::new(),
-            retry_token: 0,
-            obs: ObsConfig::off(),
-            stats: RunStats::default(),
-            phase_results: Vec::new(),
-            phase_stats: RunStats::default(),
-            read_level_histogram: BTreeMap::new(),
             spec,
-        }
+            ShardPartition::new(0, 1),
+            seed,
+        )
     }
 
-    /// Builds one shard's runner: the same construction as [`Runner::new`]
-    /// but loading only the records of `partition`'s stripe, in ascending
-    /// global order — so local interned ids stay dense and the local↔global
-    /// mapping is pure arithmetic ([`ShardContext`]). The shard's RNG
-    /// streams derive from `mix(seed, stripe)` so shards draw independent
-    /// (but run-to-run identical) workload sequences, and the passed
-    /// `controller` is a placeholder: it fixes the monitoring cadence but
-    /// never decides a level — levels arrive by coordinator directive.
-    pub(crate) fn new_sharded(
+    /// Builds the runner of one keyspace stripe: loads only the records
+    /// `partition` owns, in ascending global order, and seeds every RNG
+    /// stream from `seed`. [`Runner::new`] is the 1-stripe case with
+    /// `spec.seed`; a sharded run passes each stripe its own mixed seed.
+    pub(crate) fn for_stripe(
         profile: &ClusterProfile,
         store_config: StoreConfig,
         controller: AdaptiveController,
         spec: ExperimentSpec,
         partition: ShardPartition,
+        seed: u64,
     ) -> Self {
         spec.validate()
             .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-        let shard_seed = harmony_sim::rng::mix(spec.seed, 0x5348_5244 + partition.index() as u64);
-        let factory = RngFactory::new(shard_seed);
+        let factory = RngFactory::new(seed);
         let mut cluster = Cluster::new(
             store_config,
             profile.topology.clone(),
             profile.network.clone(),
             factory,
         );
+        // Load phase (YCSB "load"): populate every owned record on all its
+        // replicas. Interning happens here, in record order, so local record
+        // `l` gets the dense id `KeyId(l)` and the transaction phase never
+        // touches a key string again.
         let row_template = Mutation::ycsb_row(spec.workload.field_count, spec.workload.field_size);
         let local_records = partition.local_count(spec.workload.record_count as usize);
         let mut record_ids = Vec::with_capacity(local_records);
@@ -559,7 +535,7 @@ impl Runner {
             partition.first_owned_at_or_after(spec.workload.record_count as usize) as u64;
         Runner {
             cluster,
-            sim: Simulation::new(shard_seed),
+            sim: Simulation::new(seed),
             controller,
             faults: FaultSchedule::empty(),
             workload_rng: factory.stream("workload"),
@@ -573,14 +549,16 @@ impl Runner {
             current_phase: 0,
             phase_completed_ops: 0,
             insert_counter: 0,
-            shard: Some(ShardContext {
+            stripe: Stripe {
                 partition,
                 local_records,
                 insert_base,
+            },
+            levels: Levels {
                 default_read: ConsistencyLevel::One,
                 write: ConsistencyLevel::One,
                 hot: HashMap::new(),
-            }),
+            },
             retry: RetryPolicy::default(),
             retry_ctx: HashMap::new(),
             pending_retries: HashMap::new(),
@@ -638,21 +616,21 @@ impl Runner {
         self
     }
 
-    pub(crate) fn phase(&self) -> Phase {
+    fn phase(&self) -> Phase {
         self.spec.phases[self.current_phase.min(self.spec.phases.len() - 1)]
     }
 
-    /// The read level for `key`: the coordinator's last directive in sharded
-    /// mode (hot-table hit or broadcast default), the local controller's hot
-    /// set otherwise.
+    /// The read level for `key`: its escalated level when it is hot, the
+    /// default level otherwise, as the last control step decided.
     fn read_level(&self, key: KeyId) -> ConsistencyLevel {
-        match &self.shard {
-            Some(ctx) => ctx.hot.get(&key).copied().unwrap_or(ctx.default_read),
-            None => self.controller.read_level_for(key),
-        }
+        self.levels
+            .hot
+            .get(&key)
+            .copied()
+            .unwrap_or(self.levels.default_read)
     }
 
-    pub(crate) fn issue_next_op(&mut self, session: usize) {
+    fn issue_next_op(&mut self, session: usize) {
         if session >= self.phase().threads || self.current_phase >= self.spec.phases.len() {
             self.session_active[session] = false;
             return;
@@ -680,16 +658,10 @@ impl Runner {
                 self.issue_write(session, key, Purpose::Normal);
             }
             Operation::Insert => {
-                let global = match &self.shard {
-                    // Sharded inserts stride the global index space from this
-                    // shard's first owned slot past the load population, so
-                    // insert names stay globally unique and locally owned.
-                    Some(ctx) => {
-                        ctx.insert_base + self.insert_counter * ctx.partition.shards() as u64
-                    }
-                    None => self.spec.workload.record_count + self.insert_counter,
-                };
-                let name = record_key(global);
+                // Inserts stride the global index space from this stripe's
+                // first owned slot past the load population, so insert names
+                // stay globally unique and locally owned.
+                let name = record_key(self.stripe.insert_record(self.insert_counter));
                 self.insert_counter += 1;
                 let key = self.cluster.intern_key(&name);
                 self.issue_write(session, key, Purpose::Normal);
@@ -713,23 +685,19 @@ impl Runner {
     /// Draws the next record index and maps it to its interned id — the
     /// allocation-free replacement for `record_key(index)` on the op path.
     ///
-    /// In sharded mode the *global* key distribution is rejection-sampled
-    /// down to this shard's stripe: the chooser keeps its global popularity
-    /// profile (a Zipfian rank-`r` key stays exactly as popular relative to
-    /// its stripe-mates), every shard draws from its own seeded stream, and
-    /// no cross-shard coordination touches the op path.
+    /// The *global* key distribution is rejection-sampled down to this
+    /// runner's stripe (a no-op for the single stripe of a classic run): the
+    /// chooser keeps its global popularity profile (a Zipfian rank-`r` key
+    /// stays exactly as popular relative to its stripe-mates), every shard
+    /// draws from its own seeded stream, and no cross-shard coordination
+    /// touches the op path.
     fn chosen_key(&mut self) -> KeyId {
-        match &self.shard {
-            None => {
-                let index = self.key_chooser.next_index(&mut self.workload_rng);
-                self.record_ids[index as usize]
+        let partition = self.stripe.partition;
+        loop {
+            let index = self.key_chooser.next_index(&mut self.workload_rng) as usize;
+            if partition.owns_global(index) {
+                break self.record_ids[partition.global_to_local(index)];
             }
-            Some(ctx) => loop {
-                let index = self.key_chooser.next_index(&mut self.workload_rng) as usize;
-                if ctx.partition.owns_global(index) {
-                    break self.record_ids[ctx.partition.global_to_local(index)];
-                }
-            },
         }
     }
 
@@ -738,10 +706,7 @@ impl Runner {
             .workload_rng
             .gen_range(0..self.spec.workload.field_count);
         let mutation = Arc::clone(&self.field_mutations[field]);
-        let level = match &self.shard {
-            Some(ctx) => ctx.write,
-            None => self.controller.current_write_level(),
-        };
+        let level = self.levels.write;
         let op = self
             .cluster
             .submit_write_id(key, mutation, level, &mut self.sim);
@@ -879,7 +844,7 @@ impl Runner {
         }
     }
 
-    pub(crate) fn on_completion(&mut self, completion: Completion) {
+    fn on_completion(&mut self, completion: Completion) {
         let Some(meta) = self.in_flight.remove(&completion.op) else {
             // The losing leg of a settled hedged pair: already accounted.
             return;
@@ -976,7 +941,7 @@ impl Runner {
         }
     }
 
-    pub(crate) fn advance_phase_if_needed(&mut self) {
+    fn advance_phase_if_needed(&mut self) {
         if self.current_phase >= self.spec.phases.len() {
             return;
         }
@@ -1008,7 +973,7 @@ impl Runner {
 
     /// Runs the experiment to completion and returns its result.
     pub fn run(mut self) -> ExperimentResult {
-        self.execute()
+        self.execute(None)
     }
 
     /// Runs the experiment and additionally returns the observability
@@ -1017,62 +982,56 @@ impl Runner {
     /// audit log. With an all-off [`ObsConfig`] the result is identical to
     /// [`Runner::run`] and the report is empty.
     pub fn run_with_obs(mut self) -> (ExperimentResult, ObsReport) {
-        let result = self.execute();
-        let report = self.obs_report(&result);
-        (result, report)
-    }
-
-    /// Assembles the observability report after a finished run: scrapes the
-    /// cluster, controller and client-side stats into a fresh registry and
-    /// detaches the flight recorder.
-    fn obs_report(&mut self, result: &ExperimentResult) -> ObsReport {
+        let result = self.execute(None);
         let registry = MetricsRegistry::new();
         if self.obs.metrics {
             self.cluster.export_metrics(&registry);
             self.controller.export_metrics(&registry);
-            registry
-                .histogram("harmony_client_read_latency_us")
-                .merge_from(&result.stats.read_latency);
-            registry
-                .histogram("harmony_client_write_latency_us")
-                .merge_from(&result.stats.write_latency);
-            for (name, value) in [
-                ("harmony_client_operations_total", result.stats.operations),
-                ("harmony_client_stale_reads_total", result.stats.stale_reads),
-                ("harmony_client_aborted_ops_total", result.stats.aborted_ops),
-                ("harmony_client_retries_total", result.stats.retries),
-                (
-                    "harmony_client_hedged_reads_total",
-                    result.stats.hedged_reads,
-                ),
-                ("harmony_client_hedge_wins_total", result.stats.hedge_wins),
-            ] {
-                registry.counter(name).set_total(value);
-            }
-            registry
-                .gauge("harmony_client_throughput_ops_per_sec")
-                .set(result.stats.throughput_ops_per_sec());
+            result.stats.export_metrics(&registry);
         }
-        let recorder = self
-            .cluster
+        let report = ObsReport {
+            registry,
+            recorder: self.take_recorder(),
+            audit: self.controller.audit_log().to_vec(),
+        };
+        (result, report)
+    }
+
+    /// Detaches the flight recorder (empty when tracing is off).
+    pub(crate) fn take_recorder(&mut self) -> FlightRecorder {
+        self.cluster
             .take_obs()
             .map(|o| o.recorder)
-            .unwrap_or_default();
-        ObsReport {
-            registry,
-            recorder,
-            audit: self.controller.audit_log().to_vec(),
+            .unwrap_or_default()
+    }
+
+    /// The control step at t0 and at every monitoring tick — the one place
+    /// a classic run and a shard of a sharded run differ. A classic run
+    /// ticks its own controller on its own cluster; a shard trades its
+    /// report for the coordinator's directive. Both write the level table
+    /// the issue paths read. Returns false when the coordinator has gone
+    /// away, which ends the run.
+    fn control_step(&mut self, link: Option<&mut ShardLink>) -> bool {
+        match link {
+            None => {
+                self.controller.tick(self.sim.now(), &self.cluster);
+                self.levels = Levels::of(&self.controller);
+                true
+            }
+            Some(link) => self.exchange(link),
         }
     }
 
-    fn execute(&mut self) -> ExperimentResult {
+    /// The run loop of every runtime: `link` is `None` for a classic run and
+    /// the barrier link to the coordinator for a shard.
+    pub(crate) fn execute(&mut self, mut link: Option<&mut ShardLink>) -> ExperimentResult {
         let deadline = SimTime::from_secs_f64(self.spec.max_virtual_secs);
         self.stats.started_at = self.sim.now();
         self.phase_stats.started_at = self.sim.now();
 
-        // Initial controller tick so the first reads use a level based on an
-        // (idle) observation, then keep ticking periodically.
-        self.controller.tick(self.sim.now(), &self.cluster);
+        // Initial control step so the first reads use levels decided on an
+        // (idle) observation, then repeat it at every monitoring tick.
+        let live = self.control_step(link.as_deref_mut());
         let interval = self.controller.interval();
         self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
 
@@ -1087,7 +1046,9 @@ impl Runner {
 
         // Chaos mode: enqueue the fault schedule as first-class events. An
         // empty schedule enqueues nothing and disarms the reaper, so the
-        // event sequence of a fault-free run is untouched.
+        // event sequence of a fault-free run is untouched. Every shard
+        // replays the full schedule: faults hit physical nodes, and each
+        // shard models its own view of every node.
         let chaos = !self.faults.is_empty();
         if chaos {
             let scheduled: Vec<_> = self.faults.events().to_vec();
@@ -1105,16 +1066,19 @@ impl Runner {
         // Divergence timeline, sampled on chaos monitor ticks: how many
         // acknowledged keys still have a lagging serving replica. A
         // read-only digest query — it enqueues nothing and draws no
-        // randomness, so tracking it cannot perturb the run.
+        // randomness, so tracking it cannot perturb the run. Shards skip
+        // it: each one sees only its own stripe.
         let mut divergence_timeline: Vec<DivergenceSample> = Vec::new();
 
-        while self.current_phase < self.spec.phases.len() && self.sim.now() < deadline {
+        while live && self.current_phase < self.spec.phases.len() && self.sim.now() < deadline {
             let Some((_, event)) = self.sim.next() else {
                 break;
             };
             match event {
                 RunnerEvent::MonitorTick => {
-                    self.controller.tick(self.sim.now(), &self.cluster);
+                    if !self.control_step(link.as_deref_mut()) {
+                        break;
+                    }
                     self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
                     if chaos {
                         // Reap operations stranded by races no schedule-time
@@ -1122,10 +1086,12 @@ impl Runner {
                         // replies were in flight); their sessions move on.
                         self.cluster
                             .expire_stalled_ops(CHAOS_OP_TIMEOUT, &mut self.sim);
-                        divergence_timeline.push(DivergenceSample {
-                            at_secs: self.sim.now().as_secs_f64(),
-                            divergent_keys: self.cluster.divergent_keys() as u64,
-                        });
+                        if link.is_none() {
+                            divergence_timeline.push(DivergenceSample {
+                                at_secs: self.sim.now().as_secs_f64(),
+                                divergent_keys: self.cluster.divergent_keys() as u64,
+                            });
+                        }
                     }
                 }
                 RunnerEvent::Fault(fault) => {
@@ -1172,7 +1138,9 @@ impl Runner {
 }
 
 /// Builds and runs one experiment: cluster from `profile`, YCSB-style load
-/// phase, then the transaction phases of `spec` under `policy`.
+/// phase, then the transaction phases of `spec` under `policy`. The
+/// shorthand for `Runner::new(..).run()`; attach faults, retries or
+/// observability through the [`Runner`] builder instead.
 pub fn run_experiment(
     profile: &ClusterProfile,
     store_config: StoreConfig,
@@ -1180,75 +1148,9 @@ pub fn run_experiment(
     policy: Box<dyn ConsistencyPolicy>,
     spec: ExperimentSpec,
 ) -> ExperimentResult {
-    run_experiment_with_faults(
-        profile,
-        store_config,
-        controller_config,
-        policy,
-        spec,
-        FaultSchedule::empty(),
-    )
-}
-
-/// [`run_experiment`] with a fault schedule replayed during the transaction
-/// phases. An empty schedule is byte-identical to [`run_experiment`].
-pub fn run_experiment_with_faults(
-    profile: &ClusterProfile,
-    store_config: StoreConfig,
-    controller_config: harmony_adaptive::config::ControllerConfig,
-    policy: Box<dyn ConsistencyPolicy>,
-    spec: ExperimentSpec,
-    faults: FaultSchedule,
-) -> ExperimentResult {
     let controller =
         AdaptiveController::new(controller_config, store_config.replication_factor, policy);
-    Runner::new(profile, store_config, controller, spec)
-        .with_faults(faults)
-        .run()
-}
-
-/// [`run_experiment_with_faults`] with a client retry/hedging policy. The
-/// default (disabled) policy is byte-identical to
-/// [`run_experiment_with_faults`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_with_retry(
-    profile: &ClusterProfile,
-    store_config: StoreConfig,
-    controller_config: harmony_adaptive::config::ControllerConfig,
-    policy: Box<dyn ConsistencyPolicy>,
-    spec: ExperimentSpec,
-    faults: FaultSchedule,
-    retry: RetryPolicy,
-) -> ExperimentResult {
-    let controller =
-        AdaptiveController::new(controller_config, store_config.replication_factor, policy);
-    Runner::new(profile, store_config, controller, spec)
-        .with_faults(faults)
-        .with_retry(retry)
-        .run()
-}
-
-/// [`run_experiment_with_faults`] with observability attached: returns the
-/// usual result plus the run's [`ObsReport`] (metrics snapshot, flight
-/// recorder traces, decision audit log). An all-off [`ObsConfig`] yields a
-/// result byte-identical to [`run_experiment_with_faults`] and an empty
-/// report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_experiment_with_obs(
-    profile: &ClusterProfile,
-    store_config: StoreConfig,
-    controller_config: harmony_adaptive::config::ControllerConfig,
-    policy: Box<dyn ConsistencyPolicy>,
-    spec: ExperimentSpec,
-    faults: FaultSchedule,
-    obs: ObsConfig,
-) -> (ExperimentResult, ObsReport) {
-    let controller =
-        AdaptiveController::new(controller_config, store_config.replication_factor, policy);
-    Runner::new(profile, store_config, controller, spec)
-        .with_faults(faults)
-        .with_obs(obs)
-        .run_with_obs()
+    Runner::new(profile, store_config, controller, spec).run()
 }
 
 #[cfg(test)]
@@ -1277,6 +1179,10 @@ mod tests {
             replication_factor: 3,
             ..StoreConfig::default()
         }
+    }
+
+    fn controller(policy: Box<dyn ConsistencyPolicy>) -> AdaptiveController {
+        AdaptiveController::new(ControllerConfig::default(), 3, policy)
     }
 
     fn run_with(policy: Box<dyn ConsistencyPolicy>, spec: ExperimentSpec) -> ExperimentResult {
@@ -1470,14 +1376,14 @@ mod tests {
         let faults = FaultSchedule::empty()
             .crash_at(0.05, NodeId(1))
             .restart_at(0.4, NodeId(1));
-        let result = run_experiment_with_faults(
+        let result = Runner::new(
             &profile,
             small_store_config(),
-            ControllerConfig::default(),
-            Box::new(StaticPolicy::Eventual),
+            controller(Box::new(StaticPolicy::Eventual)),
             spec,
-            faults,
-        );
+        )
+        .with_faults(faults)
+        .run();
         assert!(result.stats.operations >= 4_000);
         assert_eq!(result.fault_counters.crashes, 1);
         assert_eq!(result.fault_counters.restarts, 1);
@@ -1495,14 +1401,14 @@ mod tests {
             Box::new(HarmonyPolicy::new(3, 0.2)),
             spec.clone(),
         );
-        let chaos_empty = run_experiment_with_faults(
+        let chaos_empty = Runner::new(
             &profile,
             small_store_config(),
-            ControllerConfig::default(),
-            Box::new(HarmonyPolicy::new(3, 0.2)),
+            controller(Box::new(HarmonyPolicy::new(3, 0.2))),
             spec,
-            FaultSchedule::empty(),
-        );
+        )
+        .with_faults(FaultSchedule::empty())
+        .run();
         assert_eq!(plain.decisions, chaos_empty.decisions);
         assert_eq!(plain.read_level_histogram, chaos_empty.read_level_histogram);
         assert_eq!(plain.stats.operations, chaos_empty.stats.operations);
@@ -1560,15 +1466,14 @@ mod tests {
             Box::new(HarmonyPolicy::new(3, 0.2)),
             spec.clone(),
         );
-        let with_knob = run_experiment_with_retry(
+        let with_knob = Runner::new(
             &profile,
             small_store_config(),
-            ControllerConfig::default(),
-            Box::new(HarmonyPolicy::new(3, 0.2)),
+            controller(Box::new(HarmonyPolicy::new(3, 0.2))),
             spec,
-            FaultSchedule::empty(),
-            RetryPolicy::default(),
-        );
+        )
+        .with_retry(RetryPolicy::default())
+        .run();
         assert_eq!(plain.decisions, with_knob.decisions);
         assert_eq!(plain.read_level_histogram, with_knob.read_level_histogram);
         assert_eq!(plain.stats.operations, with_knob.stats.operations);
@@ -1603,15 +1508,15 @@ mod tests {
             hedge_after_ms: 0.0,
         };
         let run_once = |retry_policy: RetryPolicy| {
-            run_experiment_with_retry(
+            Runner::new(
                 &profile,
                 small_store_config(),
-                ControllerConfig::default(),
-                Box::new(StaticPolicy::Strong),
+                controller(Box::new(StaticPolicy::Strong)),
                 small_spec(8, 4_000),
-                schedule(),
-                retry_policy,
             )
+            .with_faults(schedule())
+            .with_retry(retry_policy)
+            .run()
         };
         let baseline = run_once(RetryPolicy::default());
         assert!(
@@ -1665,15 +1570,14 @@ mod tests {
             hedge_after_ms: 0.3,
         };
         let run_once = || {
-            run_experiment_with_retry(
+            Runner::new(
                 &profile,
                 small_store_config(),
-                ControllerConfig::default(),
-                Box::new(StaticPolicy::Eventual),
+                controller(Box::new(StaticPolicy::Eventual)),
                 small_spec(8, 2_000),
-                FaultSchedule::empty(),
-                hedging,
             )
+            .with_retry(hedging)
+            .run()
         };
         let hedged = run_once();
         assert!(hedged.stats.hedged_reads > 0, "hedges must actually fire");
@@ -1710,15 +1614,14 @@ mod tests {
     }
 
     fn run_obs(obs: ObsConfig) -> (ExperimentResult, ObsReport) {
-        run_experiment_with_obs(
+        Runner::new(
             &profiles::grid5000_with_nodes(6),
             small_store_config(),
-            ControllerConfig::default(),
-            Box::new(HarmonyPolicy::new(3, 0.2)),
+            controller(Box::new(HarmonyPolicy::new(3, 0.2))),
             small_spec(8, 2_000),
-            FaultSchedule::empty(),
-            obs,
         )
+        .with_obs(obs)
+        .run_with_obs()
     }
 
     #[test]
@@ -1799,18 +1702,18 @@ mod tests {
         let faults = FaultSchedule::empty()
             .crash_at(0.05, NodeId(1))
             .restart_at(0.4, NodeId(1));
-        let (result, report) = run_experiment_with_obs(
+        let (result, report) = Runner::new(
             &profile,
             small_store_config(),
-            ControllerConfig::default(),
-            Box::new(HarmonyPolicy::new(3, 0.2)),
+            controller(Box::new(HarmonyPolicy::new(3, 0.2))),
             small_spec(16, 20_000),
-            faults,
-            ObsConfig {
-                trace_sample_every: 4,
-                ..ObsConfig::enabled()
-            },
-        );
+        )
+        .with_faults(faults)
+        .with_obs(ObsConfig {
+            trace_sample_every: 4,
+            ..ObsConfig::enabled()
+        })
+        .run_with_obs();
         assert!(result.fault_counters.crashes > 0);
         // At least one retained trace observed the fault epoch advancing
         // between submit and completion.

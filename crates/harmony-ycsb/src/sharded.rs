@@ -1,43 +1,42 @@
 //! Multi-core sharded runtime: one event loop per keyspace stripe, with
 //! batched cross-shard delivery at the monitoring tick.
 //!
-//! The classic [`Runner`](crate::runner::Runner) turns the whole simulated
-//! cluster on one thread. This module splits the *keyspace* into `S` strided
-//! stripes ([`ShardPartition`]) and runs one complete, independent
-//! sub-simulation per stripe — its own event heap, storage engine slice,
-//! placement cache, client sessions and heavy-hitter sketch — on its own OS
-//! thread. Replica sets are per-key, so two operations on different stripes
-//! share no protocol state at all; the only cross-shard information flow is
-//! the control plane:
+//! A classic [`Runner`] turns the whole simulated cluster on one thread.
+//! This module splits the *keyspace* into `S` strided stripes
+//! ([`ShardPartition`]) and runs one [`Runner`] per stripe — its own event
+//! heap, storage engine slice, placement cache, client sessions and
+//! heavy-hitter sketch — on its own OS thread. Every shard runs the same
+//! loop as a classic run (faults, reaper, anti-entropy and phases included);
+//! only the control step at t0 and at each monitoring tick differs. Replica
+//! sets are per-key, so two operations on different stripes share no
+//! protocol state at all; the only cross-shard information flow is that
+//! control step:
 //!
 //! * every monitoring tick, each shard publishes a [`ShardReport`] (cumulative
 //!   totals, write-stage telemetry, replica backlogs, membership view and its
 //!   cumulative space-saving sketch translated to *global* key ids);
 //! * the coordinator folds the reports **in shard-index order** into a
 //!   [`MergedProbe`] — one coherent cluster view — ticks the *single* real
-//!   [`AdaptiveController`] on it, and broadcasts a [`ShardDirective`]
+//!   [`AdaptiveController`] on it, and broadcasts the decided [`Levels`]
 //!   (default read level, write level, escalated hot keys) back;
-//! * each shard applies the directive to a local level table its issue paths
-//!   consult — no locks, no atomics anywhere on the op path.
+//! * each shard installs them into the level table its issue paths read —
+//!   no locks, no atomics anywhere on the op path.
 //!
 //! The exchange runs over [`harmony_sim::barrier::ShardBarrier`] (crossbeam
 //! channels), which makes it a deterministic barrier: each shard is a pure
 //! function of its seed and the directive sequence, the directive sequence is
 //! a pure function of the ordered report sequences, so thread scheduling
 //! cannot leak into the results — same seed + same shard count ⇒
-//! byte-identical stats. `shards = 1` short-circuits to the classic
-//! single-loop runner and reproduces the golden-stats pin exactly.
+//! byte-identical stats. `shards = 1` is the classic runner and reproduces
+//! the golden-stats pin exactly.
 
 use crate::distributions::record_key;
-use crate::runner::{
-    run_experiment_with_faults, run_experiment_with_obs, ExperimentResult, ExperimentSpec, Phase,
-    PhaseResult, Runner, RunnerEvent, CHAOS_OP_TIMEOUT,
-};
+use crate::runner::{ExperimentResult, ExperimentSpec, Levels, Phase, PhaseResult, Runner};
 use crate::stats::RunStats;
 use harmony_adaptive::config::ControllerConfig;
 use harmony_adaptive::controller::AdaptiveController;
 use harmony_adaptive::policy::{ConsistencyPolicy, StaticPolicy};
-use harmony_chaos::{FaultCounters, FaultSchedule};
+use harmony_chaos::FaultSchedule;
 use harmony_monitor::heavy_hitters::SpaceSavingSketch;
 use harmony_monitor::probe::ClusterProbe;
 use harmony_obs::registry::series_name;
@@ -47,7 +46,6 @@ use harmony_sim::clock::SimTime;
 use harmony_sim::profiles::ClusterProfile;
 use harmony_store::cluster::ClusterTotals;
 use harmony_store::config::StoreConfig;
-use harmony_store::consistency::ConsistencyLevel;
 use harmony_store::keys::KeyId;
 use harmony_store::node::WriteStageTelemetry;
 use harmony_store::shard::ShardPartition;
@@ -87,29 +85,11 @@ pub(crate) struct ShardReport {
     hot_backlogs: HashMap<KeyId, f64>,
 }
 
-/// The coordinator's per-tick broadcast: the consistency levels every shard
-/// applies until the next tick. Hot entries carry global ids; each shard
-/// keeps only the stripe it owns.
-#[derive(Clone)]
-pub(crate) struct ShardDirective {
-    default_read: ConsistencyLevel,
-    write: ConsistencyLevel,
-    hot: Vec<(KeyId, ConsistencyLevel)>,
-}
-
-/// What one shard thread hands back when its loop exits.
-pub(crate) struct ShardOutcome {
-    stats: RunStats,
-    phase_results: Vec<PhaseResult>,
-    read_level_histogram: BTreeMap<usize, u64>,
-    totals: ClusterTotals,
-    fault_counters: FaultCounters,
-    /// This shard's metrics series (empty when metrics are off); the
-    /// coordinator folds them like sketches — counters add, gauges max,
-    /// histograms merge bucket-wise.
-    registry: MetricsRegistry,
-    /// This shard's flight recorder (empty when tracing is off).
-    recorder: FlightRecorder,
+/// A shard's end of the barrier: the channel pair to the coordinator and
+/// the cumulative write-key sketch its reports carry.
+pub(crate) struct ShardLink {
+    worker: ShardWorker<ShardReport, Levels>,
+    sketch: SpaceSavingSketch,
 }
 
 /// The merged cluster view the coordinator's controller ticks against: the
@@ -272,99 +252,72 @@ fn split_spec(spec: &ExperimentSpec, index: usize, shards: usize) -> ExperimentS
 }
 
 impl Runner {
-    /// One shard's event loop: the classic run loop with the controller tick
-    /// replaced by the barrier exchange. Returns the shard's accumulated
-    /// output; the coordinator merges all of them.
-    pub(crate) fn run_shard(
+    /// One shard's run: the shared run loop with the barrier exchange as its
+    /// control step. Returns the shard's result and its observability
+    /// output — cluster metrics only (the coordinator exports the client and
+    /// controller series) and no audit (the shard's controller never
+    /// decides); the coordinator merges all of them.
+    fn run_shard(
         mut self,
-        worker: ShardWorker<ShardReport, ShardDirective>,
+        worker: ShardWorker<ShardReport, Levels>,
         sketch_capacity: usize,
-    ) -> ShardOutcome {
-        let deadline = SimTime::from_secs_f64(self.spec.max_virtual_secs);
-        self.stats.started_at = self.sim.now();
-        self.phase_stats.started_at = self.sim.now();
-        let interval = self.controller.interval();
-        let mut sketch = SpaceSavingSketch::new(sketch_capacity);
-
-        // Initial exchange at t0 — the sharded analogue of the initial
-        // controller tick — so the first operations already run at levels
-        // decided on an (idle) merged observation.
-        let report = self.shard_report(&mut sketch, false);
-        let Some(directive) = worker.exchange(report) else {
-            return self.shard_outcome();
+    ) -> (ExperimentResult, ObsReport) {
+        let mut link = ShardLink {
+            worker,
+            sketch: SpaceSavingSketch::new(sketch_capacity),
         };
-        self.apply_directive(&directive);
-        self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
-
-        let chaos = !self.faults.is_empty();
-        if chaos {
-            // Every shard replays the full schedule: faults hit physical
-            // nodes, and each shard models its own view of every node.
-            let scheduled: Vec<_> = self.faults.events().to_vec();
-            for fault in scheduled {
-                self.sim
-                    .schedule_at(fault.at, RunnerEvent::Fault(fault.fault));
-            }
-        }
-
-        for s in 0..self.phase().threads.min(self.session_active.len()) {
-            self.issue_next_op(s);
-        }
-
-        while self.current_phase < self.spec.phases.len() && self.sim.now() < deadline {
-            let Some((_, event)) = self.sim.next() else {
-                break;
-            };
-            match event {
-                RunnerEvent::MonitorTick => {
-                    let report = self.shard_report(&mut sketch, false);
-                    let Some(directive) = worker.exchange(report) else {
-                        break;
-                    };
-                    self.apply_directive(&directive);
-                    self.sim.schedule_in(interval, RunnerEvent::MonitorTick);
-                    if chaos {
-                        self.cluster
-                            .expire_stalled_ops(CHAOS_OP_TIMEOUT, &mut self.sim);
-                    }
-                }
-                RunnerEvent::Fault(fault) => {
-                    self.cluster.apply_fault(&fault, &mut self.sim);
-                }
-                // The sharded loop does not drive client retries, hedging or
-                // anti-entropy yet (the classic runner does); these events
-                // are never scheduled here.
-                RunnerEvent::Retry(_)
-                | RunnerEvent::HedgeCheck(_)
-                | RunnerEvent::AntiEntropyTick => {}
-                RunnerEvent::Store(store_event) => {
-                    if let Some(completion) = self.cluster.handle(store_event, &mut self.sim) {
-                        self.on_completion(completion);
-                    }
-                }
-            }
-        }
-        self.stats.ended_at = self.sim.now();
+        let result = self.execute(Some(&mut link));
         // Final (frozen) report so the coordinator's later merges still see
         // this shard's totals, then drop out of the barrier.
-        worker.finish(self.shard_report(&mut sketch, true));
-        self.shard_outcome()
+        link.worker
+            .finish(self.shard_report(&mut link.sketch, true));
+        let registry = MetricsRegistry::new();
+        if self.obs.metrics {
+            self.cluster.export_metrics(&registry);
+        }
+        let report = ObsReport {
+            registry,
+            recorder: self.take_recorder(),
+            audit: Vec::new(),
+        };
+        (result, report)
+    }
+
+    /// A shard's control step: publish this tick's report, block for the
+    /// coordinator's levels and install them. Hot entries not owned (or not
+    /// yet interned) here are skipped — their owner shard applies them.
+    /// Returns false when the coordinator has gone away.
+    pub(crate) fn exchange(&mut self, link: &mut ShardLink) -> bool {
+        let report = self.shard_report(&mut link.sketch, false);
+        let Some(directive) = link.worker.exchange(report) else {
+            return false;
+        };
+        let key_count = self.cluster.key_count();
+        self.levels.default_read = directive.default_read;
+        self.levels.write = directive.write;
+        self.levels.hot.clear();
+        for (&global, &level) in &directive.hot {
+            if let Some(local) = self.stripe.global_to_local_key(global, key_count) {
+                self.levels.hot.insert(local, level);
+            }
+        }
+        true
     }
 
     /// Builds this tick's report: drain the write-key samples into the
     /// cumulative sketch (translating local → global ids) and snapshot every
     /// cluster signal the merged probe needs.
     fn shard_report(&mut self, sketch: &mut SpaceSavingSketch, finished: bool) -> ShardReport {
-        let ctx = self.shard.as_ref().expect("sharded runner has a context");
         for local in self.cluster.drain_write_key_samples() {
-            sketch.observe(ctx.local_to_global_key(local));
+            sketch.observe(self.stripe.local_to_global_key(local));
         }
         let globals: Vec<KeyId> = sketch.entries().iter().map(|e| e.key).collect();
         let key_count = self.cluster.key_count();
         let locals: Vec<KeyId> = globals
             .iter()
             .map(|g| {
-                ctx.global_to_local_key(*g, key_count)
+                self.stripe
+                    .global_to_local_key(*g, key_count)
                     .expect("sketch-tracked keys are owned locally")
             })
             .collect();
@@ -386,62 +339,16 @@ impl Runner {
             hot_backlogs,
         }
     }
-
-    /// Installs the coordinator's levels into the local table the issue
-    /// paths consult; hot entries not owned (or not yet interned) here are
-    /// simply skipped — their owner shard applies them.
-    fn apply_directive(&mut self, directive: &ShardDirective) {
-        let key_count = self.cluster.key_count();
-        let ctx = self.shard.as_mut().expect("sharded runner has a context");
-        ctx.default_read = directive.default_read;
-        ctx.write = directive.write;
-        ctx.hot.clear();
-        for (global, level) in &directive.hot {
-            if let Some(local) = ctx.global_to_local_key(*global, key_count) {
-                ctx.hot.insert(local, *level);
-            }
-        }
-    }
-
-    fn shard_outcome(mut self) -> ShardOutcome {
-        let registry = MetricsRegistry::new();
-        if self.obs.metrics {
-            self.cluster.export_metrics(&registry);
-            registry
-                .histogram("harmony_client_read_latency_us")
-                .merge_from(&self.stats.read_latency);
-            registry
-                .histogram("harmony_client_write_latency_us")
-                .merge_from(&self.stats.write_latency);
-            registry
-                .counter("harmony_client_operations_total")
-                .set_total(self.stats.operations);
-        }
-        let recorder = self
-            .cluster
-            .take_obs()
-            .map(|o| o.recorder)
-            .unwrap_or_default();
-        ShardOutcome {
-            totals: self.cluster.totals(),
-            fault_counters: self.cluster.fault_state().counters(),
-            stats: self.stats,
-            phase_results: self.phase_results,
-            read_level_histogram: self.read_level_histogram,
-            registry,
-            recorder,
-        }
-    }
 }
 
 /// Runs one experiment across `shards` per-stripe event loops (one OS thread
 /// each) with the control plane merged at every monitoring tick.
 ///
-/// `shards <= 1` delegates to [`run_experiment_with_faults`] — byte-identical
-/// to the classic single-loop runner, golden pin included. For `shards > 1`
-/// the run is deterministic in (seed, shard count): per-shard RNG streams
-/// derive from `mix(seed, stripe)` and all cross-shard data flows through the
-/// ordered barrier exchange, so repeated runs produce identical stats.
+/// `shards <= 1` is the classic runner — `Runner::new(..).with_faults(..)`,
+/// golden pin included. For `shards > 1` the run is deterministic in (seed,
+/// shard count): per-shard RNG streams derive from `mix(seed, stripe)` and
+/// all cross-shard data flows through the ordered barrier exchange, so
+/// repeated runs produce identical stats.
 pub fn run_sharded_experiment(
     profile: &ClusterProfile,
     store_config: StoreConfig,
@@ -451,16 +358,6 @@ pub fn run_sharded_experiment(
     faults: FaultSchedule,
     shards: usize,
 ) -> ExperimentResult {
-    if shards <= 1 {
-        return run_experiment_with_faults(
-            profile,
-            store_config,
-            controller_config,
-            policy,
-            spec,
-            faults,
-        );
-    }
     run_sharded_experiment_with_obs(
         profile,
         store_config,
@@ -475,12 +372,12 @@ pub fn run_sharded_experiment(
 }
 
 /// [`run_sharded_experiment`] with observability attached: every shard runs
-/// its own tracer/flight recorder and exports a per-shard metrics registry;
-/// the coordinator merges them the way shard sketches merge (counters add,
-/// gauges take the worst shard, histograms fold bucket-wise) and owns the
-/// decision audit log — the single real controller lives there. An all-off
-/// config yields a result byte-identical to [`run_sharded_experiment`] and
-/// an empty report.
+/// its own tracer/flight recorder and exports its cluster metrics; the
+/// coordinator merges them the way shard sketches merge (counters add,
+/// gauges take the worst shard, histograms fold bucket-wise), exports the
+/// client series from the merged stats, and owns the decision audit log —
+/// the single real controller lives there. An all-off config yields a
+/// result byte-identical to [`run_sharded_experiment`] and an empty report.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_experiment_with_obs(
     profile: &ClusterProfile,
@@ -492,24 +389,18 @@ pub fn run_sharded_experiment_with_obs(
     shards: usize,
     obs: ObsConfig,
 ) -> (ExperimentResult, ObsReport) {
+    let rf = store_config.replication_factor;
+    let mut controller = AdaptiveController::new(controller_config, rf, policy);
     if shards <= 1 {
-        return run_experiment_with_obs(
-            profile,
-            store_config,
-            controller_config,
-            policy,
-            spec,
-            faults,
-            obs,
-        );
+        return Runner::new(profile, store_config, controller, spec)
+            .with_faults(faults)
+            .with_obs(obs)
+            .run_with_obs();
     }
     spec.validate()
         .unwrap_or_else(|e| panic!("invalid experiment spec: {e}"));
-
-    let rf = store_config.replication_factor;
     let sketch_capacity = controller_config.monitor.hot_key_capacity;
     let node_concurrency = store_config.node_concurrency;
-    let mut controller = AdaptiveController::new(controller_config, rf, policy);
     if obs.decision_audit {
         controller.enable_decision_audit();
     }
@@ -524,32 +415,26 @@ pub fn run_sharded_experiment_with_obs(
     // Build every shard runner up front (deterministic, single-threaded).
     let mut runners = Vec::with_capacity(shards);
     for index in 0..shards {
-        let partition = ShardPartition::new(index, shards);
-        let shard_spec = split_spec(&spec, index, shards);
         // The per-shard controller is a cadence placeholder: levels come by
         // directive, so the policy never decides anything.
         let placeholder =
             AdaptiveController::new(controller_config, rf, Box::new(StaticPolicy::Eventual));
         runners.push(
-            Runner::new_sharded(
+            Runner::for_stripe(
                 profile,
                 store_config.clone(),
                 placeholder,
-                shard_spec,
-                partition,
+                split_spec(&spec, index, shards),
+                ShardPartition::new(index, shards),
+                harmony_sim::rng::mix(spec.seed, 0x5348_5244 + index as u64),
             )
             .with_faults(faults.clone())
             .with_obs(shard_obs),
         );
     }
 
-    let (mut barrier, workers) = ShardBarrier::<ShardReport, ShardDirective>::new(shards);
-    let mut outcomes: Vec<Option<ShardOutcome>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        outcomes.push(None);
-    }
-
-    std::thread::scope(|scope| {
+    let (mut barrier, workers) = ShardBarrier::<ShardReport, Levels>::new(shards);
+    let outcomes: Vec<(ExperimentResult, ObsReport)> = std::thread::scope(|scope| {
         let handles: Vec<_> = runners
             .into_iter()
             .zip(workers)
@@ -584,25 +469,20 @@ pub fn run_sharded_experiment_with_obs(
                 node_concurrency,
             };
             controller.tick(now, &probe);
-            let directive = ShardDirective {
-                default_read: controller.current_read_level(),
-                write: controller.current_write_level(),
-                hot: controller
-                    .hot_set()
-                    .iter()
-                    .map(|h| (h.key_id, controller.read_level_for(h.key_id)))
-                    .collect(),
-            };
+            let directive = Levels::of(&controller);
             barrier.broadcast_with(|_| directive.clone());
         }
 
-        for (i, handle) in handles.into_iter().enumerate() {
-            outcomes[i] = Some(handle.join().expect("shard thread panicked"));
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard thread panicked"))
+            .collect()
     });
 
-    // Deterministic merge, shard-index order throughout.
-    let outcomes: Vec<ShardOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
+    // Deterministic merge, shard-index order throughout. Registries merge
+    // (counters add, gauges max, histograms bucket-wise), recorders keep the
+    // globally slowest K and the aborted pool, and shard-labelled op
+    // counters record the split.
     let mut stats = RunStats {
         started_at: SimTime::from_secs_f64(f64::MAX),
         ..RunStats::default()
@@ -620,44 +500,28 @@ pub fn run_sharded_experiment_with_obs(
             },
         })
         .collect();
-    // Fold the per-shard observability output like the stats: registries
-    // merge (counters add, gauges max, histograms bucket-wise), recorders
-    // keep the globally slowest K and the aborted pool, shard-labelled
-    // per-shard op counters record the split.
     let registry = MetricsRegistry::new();
     let mut recorder = FlightRecorder::new(obs.keep_slowest as usize, obs.abort_cap as usize);
-    for (i, outcome) in outcomes.iter().enumerate() {
+    for (i, (shard, observed)) in outcomes.iter().enumerate() {
+        stats.absorb(&shard.stats);
+        for (level, count) in &shard.read_level_histogram {
+            *read_level_histogram.entry(*level).or_insert(0) += count;
+        }
+        totals.absorb(&shard.cluster_totals);
+        for (slot, pr) in phase_results.iter_mut().zip(&shard.phase_results) {
+            slot.stats.absorb(&pr.stats);
+        }
         if obs.metrics {
-            registry.merge_from(&outcome.registry);
+            registry.merge_from(&observed.registry);
             registry
                 .counter(&series_name(
                     "harmony_shard_operations_total",
                     &[("shard", &i.to_string())],
                 ))
-                .set_total(outcome.stats.operations);
+                .set_total(shard.stats.operations);
         }
         if obs.tracing_enabled() {
-            recorder.merge_from(&outcome.recorder);
-        }
-    }
-
-    for outcome in &outcomes {
-        stats.absorb(&outcome.stats);
-        for (level, count) in &outcome.read_level_histogram {
-            *read_level_histogram.entry(*level).or_insert(0) += count;
-        }
-        totals.reads_submitted += outcome.totals.reads_submitted;
-        totals.writes_submitted += outcome.totals.writes_submitted;
-        totals.reads_completed += outcome.totals.reads_completed;
-        totals.writes_completed += outcome.totals.writes_completed;
-        totals.stale_reads += outcome.totals.stale_reads;
-        totals.repairs_issued += outcome.totals.repairs_issued;
-        totals.ops_aborted += outcome.totals.ops_aborted;
-        totals.protocol_drops += outcome.totals.protocol_drops;
-        for (i, pr) in outcome.phase_results.iter().enumerate() {
-            if let Some(slot) = phase_results.get_mut(i) {
-                slot.stats.absorb(&pr.stats);
-            }
+            recorder.merge_from(&observed.recorder);
         }
     }
     // Shards that never closed a phase (deadline) leave empty slots; drop
@@ -666,8 +530,9 @@ pub fn run_sharded_experiment_with_obs(
 
     if obs.metrics {
         // Coordinator-side series: the single real controller's decision
-        // outcomes and the merged monitor view.
+        // outcomes, the merged monitor view and the merged client stats.
         controller.export_metrics(&registry);
+        stats.export_metrics(&registry);
     }
     let report = ObsReport {
         registry,
@@ -687,10 +552,7 @@ pub fn run_sharded_experiment_with_obs(
         hot_set: controller.hot_set().to_vec(),
         // Every shard applies the identical schedule to an identical
         // membership; shard 0's counters are the cluster's.
-        fault_counters: outcomes
-            .first()
-            .map(|o| o.fault_counters)
-            .unwrap_or_default(),
+        fault_counters: outcomes[0].0.fault_counters,
         // Cross-shard divergence is not sampled (each shard only sees its
         // own stripe); the classic runner carries the self-healing metric.
         divergence_timeline: Vec::new(),
@@ -774,7 +636,7 @@ mod tests {
 
     #[test]
     fn sharded_obs_merges_per_shard_series_without_perturbing_the_run() {
-        let run_obs = |obs: ObsConfig| {
+        let run_obs_on = |shards: usize, obs: ObsConfig| {
             run_sharded_experiment_with_obs(
                 &profiles::grid5000_with_nodes(6),
                 StoreConfig {
@@ -785,12 +647,12 @@ mod tests {
                 Box::new(HarmonyPolicy::new(3, 0.2)),
                 spec(8, 12_000, 500),
                 FaultSchedule::empty(),
-                3,
+                shards,
                 obs,
             )
         };
         let plain = run(3);
-        let (result, report) = run_obs(ObsConfig::enabled());
+        let (result, report) = run_obs_on(3, ObsConfig::enabled());
         // Per-shard tracing and end-of-run scrapes leave the run untouched.
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
@@ -830,6 +692,68 @@ mod tests {
         // the coordinator-side audit covers the real controller's decisions.
         assert!(!report.recorder.is_empty());
         assert_eq!(report.audit.len(), result.decisions.len());
+        // Both runtimes export the same series: every counter of a classic
+        // report also appears in the sharded one.
+        let (_, classic) = run_obs_on(1, ObsConfig::enabled());
+        for c in classic.registry.snapshot().counters {
+            assert!(
+                snap.counters.iter().any(|s| s.name == c.name),
+                "sharded report lacks counter {}",
+                c.name
+            );
+        }
+    }
+
+    #[test]
+    fn sharded_totals_keep_hint_evictions() {
+        use harmony_sim::topology::NodeId;
+        let store = StoreConfig {
+            replication_factor: 3,
+            hint_cap_per_origin: 2,
+            ..StoreConfig::default()
+        };
+        let faults = FaultSchedule::empty()
+            .crash_at(0.05, NodeId(1))
+            .restart_at(0.4, NodeId(1));
+        let r = run_sharded_experiment(
+            &profiles::grid5000_with_nodes(6),
+            store,
+            ControllerConfig::default(),
+            Box::new(HarmonyPolicy::new(3, 0.2)),
+            spec(8, 12_000, 500),
+            faults,
+            2,
+        );
+        assert_eq!(r.fault_counters.crashes, 1);
+        assert!(
+            r.cluster_totals.hints_evicted > 0,
+            "a capped hint queue behind a crashed node must evict: {:?}",
+            r.cluster_totals
+        );
+    }
+
+    #[test]
+    fn sharded_runs_run_anti_entropy() {
+        use harmony_sim::topology::NodeId;
+        let store = StoreConfig {
+            replication_factor: 3,
+            anti_entropy_interval_secs: 0.05,
+            ..StoreConfig::default()
+        };
+        let faults = FaultSchedule::empty()
+            .partition_at(0.05, vec![vec![NodeId(0), NodeId(1)]])
+            .heal_at(0.3);
+        let r = run_sharded_experiment(
+            &profiles::grid5000_with_nodes(6),
+            store,
+            ControllerConfig::default(),
+            Box::new(HarmonyPolicy::new(3, 0.2)),
+            spec(8, 12_000, 500),
+            faults,
+            2,
+        );
+        assert!(r.cluster_totals.ae_rounds > 0, "{:?}", r.cluster_totals);
+        assert_eq!(r.cluster_totals.protocol_drops, 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! re-exports it so existing `harmony_ycsb::stats::LatencyHistogram` users
 //! keep working unchanged.
 
+use harmony_obs::MetricsRegistry;
 use harmony_sim::clock::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -87,6 +88,32 @@ impl RunStats {
         } else {
             self.hot_stale_reads as f64 / self.hot_reads as f64
         }
+    }
+
+    /// Exports the client-side `harmony_client_*` series into `registry`:
+    /// the latency histograms, the operation, stale, abort, retry and hedge
+    /// counters, and the throughput gauge. The classic runner exports its
+    /// own stats; the sharded coordinator exports the merged ones.
+    pub(crate) fn export_metrics(&self, registry: &MetricsRegistry) {
+        registry
+            .histogram("harmony_client_read_latency_us")
+            .merge_from(&self.read_latency);
+        registry
+            .histogram("harmony_client_write_latency_us")
+            .merge_from(&self.write_latency);
+        for (name, value) in [
+            ("harmony_client_operations_total", self.operations),
+            ("harmony_client_stale_reads_total", self.stale_reads),
+            ("harmony_client_aborted_ops_total", self.aborted_ops),
+            ("harmony_client_retries_total", self.retries),
+            ("harmony_client_hedged_reads_total", self.hedged_reads),
+            ("harmony_client_hedge_wins_total", self.hedge_wins),
+        ] {
+            registry.counter(name).set_total(value);
+        }
+        registry
+            .gauge("harmony_client_throughput_ops_per_sec")
+            .set(self.throughput_ops_per_sec());
     }
 
     /// Merges another run's statistics into this one (the sharded runtime

@@ -81,15 +81,14 @@ fn main() {
 /// `--obs`: one more Harmony-40% run with tracing, metrics and the decision
 /// audit switched on, followed by the three exports.
 fn dump_observability(profile: &ClusterProfile, store: &StoreConfig, spec: &ExperimentSpec) {
-    let (result, report) = run_experiment_with_obs(
-        profile,
-        store.clone(),
+    let controller = AdaptiveController::new(
         ControllerConfig::default(),
+        store.replication_factor,
         Box::new(HarmonyPolicy::new(profile.replication_factor, 0.40)),
-        spec.clone(),
-        FaultSchedule::empty(),
-        ObsConfig::enabled(),
     );
+    let (result, report) = Runner::new(profile, store.clone(), controller, spec.clone())
+        .with_obs(ObsConfig::enabled())
+        .run_with_obs();
     println!();
     println!(
         "=== observability (harmony-40, {} ops) ===",
@@ -116,6 +115,7 @@ fn dump_observability(profile: &ClusterProfile, store: &StoreConfig, spec: &Expe
     println!();
     println!(
         "Full JSON exports are available via ObsReport::traces_json() / audit_json();\n\
-         the same switches work on run_sharded_experiment_with_obs and the bench binaries."
+         the same ObsConfig attaches to any run via Runner::with_obs (sharded runs:\n\
+         run_sharded_experiment_with_obs)."
     );
 }

@@ -16,7 +16,7 @@
 use harmony::prelude::*;
 use harmony::sim::topology::NodeId;
 use harmony_bench::experiments::{
-    grid5000_experiment_config, run_workload_point_with_faults, ExperimentConfig, PolicySpec,
+    grid5000_experiment_config, workload_point_runner, ExperimentConfig, PolicySpec,
 };
 
 /// The tolerated hot-key stale-read rate of the crash claim (the looser of
@@ -43,15 +43,16 @@ fn config() -> ExperimentConfig {
 fn run(config: &ExperimentConfig, policy: &PolicySpec, faults: FaultSchedule) -> ExperimentResult {
     let workload =
         WorkloadSpec::workload_a(config.records).with_distribution(RequestDistribution::Zipfian);
-    run_workload_point_with_faults(
+    workload_point_runner(
         config,
         workload,
         policy,
         24,
         HOT_PREFIX,
         matches!(policy, PolicySpec::Harmony(_)),
-        faults,
     )
+    .with_faults(faults)
+    .run()
 }
 
 /// Acceptance (a): with a replica crash injected mid-run under Zipfian load,

@@ -45,14 +45,15 @@ fn run_split_with_controller(
     // schedule: the golden pin below is therefore also the guard that the
     // whole chaos layer (fault masks, hint plumbing, membership checks) is
     // byte-for-byte free when no fault fires.
-    run_experiment_with_faults(
+    let controller = AdaptiveController::new(controller, 5, Box::new(HarmonyPolicy::new(5, 0.05)));
+    Runner::new(
         &harmony::profiles::grid5000_with_nodes(8),
         store,
         controller,
-        Box::new(HarmonyPolicy::new(5, 0.05)),
         spec,
-        FaultSchedule::empty(),
     )
+    .with_faults(FaultSchedule::empty())
+    .run()
 }
 
 /// The same run as [`run_split`], but routed through the retry-aware entry
@@ -79,15 +80,20 @@ fn run_split_through_retry_entry_point(seed: u64) -> ExperimentResult {
         anti_entropy_interval_secs: 0.0,
         ..StoreConfig::default()
     };
-    run_experiment_with_retry(
+    let controller = AdaptiveController::new(
+        harmony_bench::experiments::split_figure_controller_config(),
+        5,
+        Box::new(HarmonyPolicy::new(5, 0.05)),
+    );
+    Runner::new(
         &harmony::profiles::grid5000_with_nodes(8),
         store,
-        harmony_bench::experiments::split_figure_controller_config(),
-        Box::new(HarmonyPolicy::new(5, 0.05)),
+        controller,
         spec,
-        FaultSchedule::empty(),
-        RetryPolicy::default(),
     )
+    .with_faults(FaultSchedule::empty())
+    .with_retry(RetryPolicy::default())
+    .run()
 }
 
 #[test]

@@ -74,14 +74,11 @@ fn run(
         hot_key_prefix: 0,
         max_virtual_secs: 3_600.0,
     };
-    run_experiment_with_faults(
-        &config.profile,
-        config.store.clone(),
-        controller,
-        PolicySpec::Harmony(0.20).build(config.store.replication_factor),
-        spec,
-        faults,
-    )
+    let rf = config.store.replication_factor;
+    let controller = AdaptiveController::new(controller, rf, PolicySpec::Harmony(0.20).build(rf));
+    Runner::new(&config.profile, config.store.clone(), controller, spec)
+        .with_faults(faults)
+        .run()
 }
 
 /// The correlated outage: eight alternating nodes crash together and restart

@@ -151,20 +151,24 @@ fn armed_anti_entropy_heals_mid_run_and_stays_deterministic() {
             .heal_at(0.4)
     };
     let run_once = || {
-        run_experiment_with_retry(
+        Runner::new(
             &profile,
             store_config(0.05),
-            ControllerConfig::default(),
-            Box::new(StaticPolicy::Eventual),
+            AdaptiveController::new(
+                ControllerConfig::default(),
+                3,
+                Box::new(StaticPolicy::Eventual),
+            ),
             spec(4_000),
-            schedule(),
-            RetryPolicy {
-                max_attempts: 4,
-                base_backoff_ms: 0.5,
-                max_backoff_ms: 8.0,
-                hedge_after_ms: 0.0,
-            },
         )
+        .with_faults(schedule())
+        .with_retry(RetryPolicy {
+            max_attempts: 4,
+            base_backoff_ms: 0.5,
+            max_backoff_ms: 8.0,
+            hedge_after_ms: 0.0,
+        })
+        .run()
     };
     let healed = run_once();
     assert_eq!(healed.fault_counters.partitions, 1);
@@ -199,23 +203,20 @@ fn disarmed_repair_knobs_are_byte_identical_under_chaos() {
             .partition_at(0.05, vec![vec![NodeId(0), NodeId(1)]])
             .heal_at(0.4)
     };
-    let plain = run_experiment_with_faults(
-        &profile,
-        store_config(0.0),
-        ControllerConfig::default(),
-        Box::new(StaticPolicy::Eventual),
-        spec(2_000),
-        schedule(),
-    );
-    let disarmed = run_experiment_with_retry(
-        &profile,
-        store_config(0.0),
-        ControllerConfig::default(),
-        Box::new(StaticPolicy::Eventual),
-        spec(2_000),
-        schedule(),
-        RetryPolicy::default(),
-    );
+    let controller = || {
+        AdaptiveController::new(
+            ControllerConfig::default(),
+            3,
+            Box::new(StaticPolicy::Eventual),
+        )
+    };
+    let plain = Runner::new(&profile, store_config(0.0), controller(), spec(2_000))
+        .with_faults(schedule())
+        .run();
+    let disarmed = Runner::new(&profile, store_config(0.0), controller(), spec(2_000))
+        .with_faults(schedule())
+        .with_retry(RetryPolicy::default())
+        .run();
     assert_eq!(plain.cluster_totals.ae_rounds, 0);
     assert_eq!(disarmed.cluster_totals.ae_rounds, 0);
     assert_eq!(plain.stats.operations, disarmed.stats.operations);

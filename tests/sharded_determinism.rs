@@ -10,9 +10,11 @@
 //!   `mix(seed, stripe)`, so thread scheduling has no channel through which
 //!   to perturb the stats. Serialized-JSON equality is the strictest
 //!   comparison available — it covers every histogram bucket and f64 bit.
-//! * **`shards = 1` is the classic runner:** the single-shard case delegates
-//!   to `run_experiment_with_faults` and must reproduce the committed golden
-//!   pin (`per_key_determinism.rs`) exactly — the sharded entry point is a
+//! * **`shards = 1` is the classic runner:** the single-shard case runs
+//!   `Runner::new(..).with_faults(..)` and must reproduce the committed
+//!   golden pin (`per_key_determinism.rs`) exactly. Every shard of a larger
+//!   run executes that same `Runner` loop with only its control step
+//!   swapped for the barrier exchange, so the sharded entry point is a
 //!   superset, never a fork, of the single-loop semantics.
 
 use harmony::prelude::*;
