@@ -166,6 +166,10 @@ pub struct HistoryEntry {
     /// `measured` (written by `bench_baseline`) or `recovered` (seeded from
     /// a PR's recorded numbers).
     pub source: String,
+    /// The measuring host's `std::thread::available_parallelism`, without
+    /// which the scaling figures cannot be read; `null` for entries that
+    /// predate the field.
+    pub available_parallelism: Option<usize>,
 }
 
 /// Reads `BENCH_history.json` (an array of [`HistoryEntry`]); a missing
@@ -201,6 +205,7 @@ pub fn append_history(
         allocations_per_op,
         scaling_ops_per_sec_wall: report.scaling.iter().map(|p| p.ops_per_sec_wall).collect(),
         source: "measured".to_string(),
+        available_parallelism: std::thread::available_parallelism().ok().map(|n| n.get()),
     });
     let json = serde_json::to_string_pretty(&history).map_err(|e| format!("{e:?}"))?;
     std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path:?}: {e}"))?;
@@ -284,4 +289,36 @@ pub fn run_scaling_point(shards: usize, operations: u64, records: u64) -> Experi
         FaultSchedule::empty(),
         shards,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_history_parses_and_appends_record_the_core_count() {
+        let committed =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_history.json");
+        let history = load_history(&committed).expect("committed history parses");
+        assert!(!history.is_empty());
+
+        let path =
+            std::env::temp_dir().join(format!("harmony_history_test_{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let report = BenchBaseline {
+            version: 2,
+            sweeps: Vec::new(),
+            scaling: Vec::new(),
+            total_operations: 0,
+            total_wall_secs: 0.0,
+            total_ops_per_sec_wall: 1.0,
+        };
+        assert_eq!(append_history(&path, &report, "test"), Ok(1));
+        let written = load_history(&path);
+        let _ = std::fs::remove_file(&path);
+        let entry = &written.expect("written history parses")[0];
+        let cores = std::thread::available_parallelism().map(|n| n.get()).ok();
+        assert_eq!(entry.available_parallelism, cores);
+        assert_eq!(entry.source, "measured");
+    }
 }

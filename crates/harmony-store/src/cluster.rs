@@ -15,15 +15,17 @@
 //! ([`KeyId`], 4 bytes, `Copy`) so no `String` is ever cloned on the op
 //! path; replica placement is memoised per key in a flat table
 //! ([`PlacementCache`]) so steady-state lookups are an array index instead
-//! of a ring walk; and mutation/repair payloads are `Arc`-shared across the
+//! of a ring walk; mutation/repair payloads are `Arc`-shared across the
 //! replica fan-out so an RF = 3 write bumps a refcount three times instead
-//! of deep-cloning a `BTreeMap` three times.
+//! of deep-cloning a `BTreeMap` three times; and the pending-operation maps
+//! are [`IdMap`]s, hashing the dense [`OpId`] with one multiply. Every walk
+//! over them that can reach the output sorts by `OpId` first.
 
 use crate::config::StoreConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::detector::HeartbeatHistory;
 use crate::hashring::HashRing;
-use crate::keys::{KeyId, KeyTable};
+use crate::keys::{IdMap, KeyId, KeyTable};
 use crate::messages::{Message, OpId, OpKind, StoreEvent};
 use crate::node::{NodeCounters, Stage, StorageNode, WriteStageTelemetry};
 use crate::placement::{PlacementCache, ReplicaSet, MAX_RF};
@@ -39,7 +41,6 @@ use harmony_sim::topology::{Location, NetworkModel, NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Guards a backlog value computed by the store's telemetry scans: a negative
@@ -251,9 +252,9 @@ pub struct Cluster {
     key_table: KeyTable,
     /// Memoised per-key replica sets (flat, indexed by `KeyId`).
     placement: PlacementCache,
-    pending_reads: HashMap<OpId, PendingRead>,
-    pending_writes: HashMap<OpId, PendingWrite>,
-    staged_completions: HashMap<OpId, Completion>,
+    pending_reads: IdMap<OpId, PendingRead>,
+    pending_writes: IdMap<OpId, PendingWrite>,
+    staged_completions: IdMap<OpId, Completion>,
     /// Newest acknowledged timestamp per key, indexed by `KeyId` (dense ids
     /// make this a flat array instead of a string-keyed map).
     latest_acked: Vec<Timestamp>,
@@ -366,9 +367,9 @@ impl Cluster {
             last_timestamp: 0,
             key_table: KeyTable::new(),
             placement: PlacementCache::new(),
-            pending_reads: HashMap::new(),
-            pending_writes: HashMap::new(),
-            staged_completions: HashMap::new(),
+            pending_reads: IdMap::default(),
+            pending_writes: IdMap::default(),
+            staged_completions: IdMap::default(),
             latest_acked: Vec::new(),
             next_coordinator: 0,
             totals: ClusterTotals::default(),

@@ -15,10 +15,70 @@
 //! workload that interns its record population in order gets
 //! `KeyId(i) == record i`, so the YCSB runner's index → key mapping is a
 //! plain array lookup with no hashing at all.
+//!
+//! Maps keyed by such program-assigned ids ([`KeyId`], [`crate::OpId`]) use
+//! [`IdMap`]/[`IdSet`]: one multiply per lookup instead of SipHash. The ids
+//! never come from outside the program, so SipHash's resistance to crafted
+//! collisions buys nothing there.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// A multiplicative hasher for dense integer ids (the Fx scheme: rotate,
+/// xor the word in, multiply by an odd constant). For consecutive ids the low
+/// bits of the product are a permutation of the ids' low bits, so buckets
+/// fill evenly, and the high bits the table's tag bytes use are well mixed.
+/// Any other input is hashed eight bytes at a time.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    /// The 64-bit Fx constant (odd, so multiplying by it is a bijection).
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
+/// A `HashMap` keyed by program-assigned ids, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of program-assigned ids, hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// A compact interned row key: 4 bytes, `Copy`, hashable, ordered by
 /// interning order (not lexicographically — resolve through the
@@ -145,6 +205,26 @@ mod tests {
         assert_eq!(KeyId(7).to_string(), "key#7");
         // Dense ids order by interning order.
         assert!(KeyId(1) < KeyId(2));
+    }
+
+    #[test]
+    fn id_hasher_hashes_arbitrary_bytes() {
+        let hash = |bytes: &[u8]| {
+            let mut h = IdHasher::default();
+            h.write(bytes);
+            h.finish()
+        };
+        // Every length, including a partial trailing word, hashes without
+        // panicking, and differing inputs (here) hash apart.
+        let hashes: HashSet<u64> = (0..=20u8)
+            .map(|n| hash(&(1..=n).collect::<Vec<u8>>()))
+            .collect();
+        assert_eq!(hashes.len(), 21);
+        assert_ne!(hash(b"user1"), hash(b"user2"));
+        let names: IdSet<&str> = ["user0", "user1", "user0"].into_iter().collect();
+        assert_eq!(names.len(), 2);
+        let ids: IdMap<KeyId, u32> = (0..100).map(|i| (KeyId(i), i)).collect();
+        assert!((0..100).all(|i| ids[&KeyId(i)] == i));
     }
 
     #[test]

@@ -13,8 +13,16 @@
 //! applying, merging, repairing or cloning a row bumps refcounts instead of
 //! copying bytes. The engine holds rows as `Arc<Row>`, copy-on-write (see
 //! [`crate::engine`]).
+//!
+//! Reconciliation is a merge join: [`Row::merge_from`] and the subsumption
+//! check behind [`Row::merge_shared`] walk both name-sorted cell vectors
+//! once, O(n + m), updating matched cells in place and opening slots for new
+//! columns in one backward pass. Names are compared by pointer first — cells
+//! that came from one mutation share their name `Arc` — and by string only
+//! when the pointers differ.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A row key *name*. YCSB-style workloads use keys like `"user4382"`. On
@@ -89,7 +97,7 @@ impl Row {
     /// already holds `name` at an equal or newer timestamp. Allocates only
     /// when the column is new to the row.
     fn merge_cell(&mut self, name: &Arc<str>, value: &Arc<[u8]>, timestamp: Timestamp) {
-        match self.cells.binary_search_by(|c| c.name.cmp(name)) {
+        match self.cells.binary_search_by(|c| cmp_names(&c.name, name)) {
             Ok(i) if self.cells[i].timestamp >= timestamp => {}
             Ok(i) => {
                 self.cells[i].value = Arc::clone(value);
@@ -104,9 +112,61 @@ impl Row {
     /// Merges `other` into `self`, keeping for every column the cell with the
     /// newest timestamp (Cassandra's last-write-wins reconciliation; on a
     /// tie the cell already in `self` wins).
+    ///
+    /// A merge join: one forward pass updates the columns both rows hold and
+    /// counts the ones new to `self`; if there are any, one backward pass
+    /// shifts the existing cells up and writes the new ones into the gaps.
+    /// Allocates only when a new column outgrows the vector's capacity.
     pub fn merge_from(&mut self, other: &Row) {
-        for cell in &other.cells {
-            self.merge_cell(&cell.name, &cell.value, cell.timestamp);
+        let mut missing = 0;
+        let mut i = 0;
+        for theirs in &other.cells {
+            loop {
+                match self.cells.get_mut(i) {
+                    Some(mine) => match cmp_names(&mine.name, &theirs.name) {
+                        Ordering::Less => i += 1,
+                        Ordering::Equal => {
+                            if mine.timestamp < theirs.timestamp {
+                                mine.value = Arc::clone(&theirs.value);
+                                mine.timestamp = theirs.timestamp;
+                            }
+                            i += 1;
+                            break;
+                        }
+                        Ordering::Greater => {
+                            missing += 1;
+                            break;
+                        }
+                    },
+                    None => {
+                        missing += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        if missing == 0 {
+            return;
+        }
+        // Backward pass. `[i, w)` is the gap still to fill: every cell of
+        // `self` at or past `i` has been moved to its final slot at or past
+        // `w`, and each new column is written at `w - 1`.
+        let (mut i, mut w) = (self.cells.len(), self.cells.len() + missing);
+        self.cells.resize(w, other.cells[0].clone());
+        for theirs in other.cells.iter().rev() {
+            while i > 0 && cmp_names(&self.cells[i - 1].name, &theirs.name).is_gt() {
+                i -= 1;
+                w -= 1;
+                self.cells.swap(i, w);
+            }
+            if i > 0 && cmp_names(&self.cells[i - 1].name, &theirs.name).is_eq() {
+                continue; // reconciled by the forward pass
+            }
+            w -= 1;
+            self.cells[w] = theirs.clone();
+            if w == i {
+                return; // every new column placed; the prefix is in place
+            }
         }
     }
 
@@ -118,11 +178,19 @@ impl Row {
     }
 
     /// True when merging `other` into `self` would change nothing: every
-    /// cell of `other` is matched by an equal-or-newer cell of `self`.
+    /// cell of `other` is matched by an equal-or-newer cell of `self`. A
+    /// merge join, like [`Row::merge_from`].
     fn subsumes(&self, other: &Row) -> bool {
-        other.cells.iter().all(|c| {
-            self.get(&c.name)
-                .is_some_and(|s| s.timestamp >= c.timestamp)
+        let mut mine = self.cells.iter();
+        other.cells.iter().all(|theirs| loop {
+            match mine.next() {
+                None => return false,
+                Some(m) => match cmp_names(&m.name, &theirs.name) {
+                    Ordering::Less => {}
+                    Ordering::Equal => return m.timestamp >= theirs.timestamp,
+                    Ordering::Greater => return false,
+                },
+            }
         })
     }
 
@@ -169,6 +237,17 @@ impl Row {
     /// True if the row holds no columns.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
+    }
+}
+
+/// Column-name order: equal without reading the strings when both cells
+/// share one name allocation, byte order of the names otherwise.
+#[inline]
+fn cmp_names(a: &Arc<str>, b: &Arc<str>) -> Ordering {
+    if Arc::ptr_eq(a, b) {
+        Ordering::Equal
+    } else {
+        (**a).cmp(&**b)
     }
 }
 

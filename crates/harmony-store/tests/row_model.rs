@@ -197,3 +197,135 @@ fn ties_keep_the_stored_cell_everywhere() {
         b"first"
     );
 }
+
+/// Single-column mutations made once and reused, so rows built from the same
+/// entry share the name (and value) allocation by pointer, while different
+/// entries for one column hold equal names in distinct `Arc`s.
+struct Pool {
+    singles: Vec<Vec<Mutation>>,
+}
+
+impl Pool {
+    fn new() -> Self {
+        let singles = NAMES
+            .iter()
+            .map(|name| {
+                (0..3)
+                    .map(|v| Mutation::single(*name, format!("{name}/pool{v}").into_bytes()))
+                    .collect()
+            })
+            .collect();
+        Pool { singles }
+    }
+
+    /// A random row over the columns `NAMES[i]` for `i` in `columns`, each
+    /// cell drawn from the pool (shared name) or built fresh, and its model.
+    fn row(&self, rng: &mut StdRng, columns: &[usize]) -> (Row, Model) {
+        let mut row = Row::new();
+        let mut model = Model::new();
+        for _ in 0..rng.gen_range(0..10usize) {
+            let column = columns[rng.gen_range(0..columns.len())];
+            let name = NAMES[column];
+            let ts = Timestamp(rng.gen_range(1u64..6));
+            let single = if rng.gen_bool(0.5) {
+                let variants = &self.singles[column];
+                variants[rng.gen_range(0..variants.len())].clone()
+            } else {
+                Mutation::single(name, value(rng, name, ts))
+            };
+            let cell_row = single.to_row(ts);
+            let cell = &cell_row.cells()[0];
+            model_put(&mut model, name, &cell.value, ts);
+            row.merge_from(&cell_row);
+        }
+        (row, model)
+    }
+}
+
+/// Column layouts for a pair of rows: overlapping, disjoint, interleaved.
+fn column_layouts(rng: &mut StdRng) -> (Vec<usize>, Vec<usize>) {
+    let all: Vec<usize> = (0..NAMES.len()).collect();
+    match rng.gen_range(0..3) {
+        0 => (all.clone(), all),
+        1 => (all[..3].to_vec(), all[3..].to_vec()),
+        _ => all.iter().partition(|i| *i % 2 == 0),
+    }
+}
+
+/// True when merging `others` into `first` would change nothing.
+fn model_subsumes(first: &Model, others: &[&Model]) -> bool {
+    others.iter().all(|other| {
+        other
+            .iter()
+            .all(|(name, (_, ts))| first.get(name).is_some_and(|(_, mine)| mine >= ts))
+    })
+}
+
+#[test]
+fn merge_join_matches_the_model_with_shared_and_fresh_names() {
+    let pool = Pool::new();
+    let mut rng = StdRng::seed_from_u64(0x5eed_0004);
+    for case in 0..3_000 {
+        let (columns_a, columns_b) = column_layouts(&mut rng);
+        let (a, model_a) = pool.row(&mut rng, &columns_a);
+        let (b, model_b) = pool.row(&mut rng, &columns_b);
+        let context = format!("case {case}");
+
+        let mut merged = a.clone();
+        merged.merge_from(&b);
+        let mut model = model_a.clone();
+        model_merge(&mut model, &model_b);
+        assert_matches(&merged, &model, &format!("merge_from, {context}"));
+
+        // `apply` of b's cells as one mutation per timestamp, on a row that
+        // starts as a: through the engine, which copies the shared row first.
+        let mut engine = StorageEngine::with_defaults();
+        let a = Arc::new(a);
+        engine.apply_row(KeyId(0), &a);
+        let mut model_applied = model_a.clone();
+        for ts in 1..6 {
+            let columns: Vec<(String, Vec<u8>)> = b
+                .cells()
+                .iter()
+                .filter(|c| c.timestamp == Timestamp(ts))
+                .map(|c| (c.name.to_string(), c.value.to_vec()))
+                .collect();
+            if columns.is_empty() {
+                continue;
+            }
+            for (name, value) in &columns {
+                model_put(&mut model_applied, name, value, Timestamp(ts));
+            }
+            engine.apply(KeyId(0), &Mutation::multi(columns), Timestamp(ts));
+        }
+        match engine.get(KeyId(0)) {
+            Some(row) => assert_matches(&row, &model_applied, &format!("apply, {context}")),
+            None => assert!(model_applied.is_empty(), "apply lost the row, {context}"),
+        }
+
+        let (c, model_c) = pool.row(&mut rng, &columns_b);
+        let b = Arc::new(b);
+        let c = Arc::new(c);
+        let shared = Row::merge_shared([&a, &b, &c].into_iter()).unwrap();
+        model_merge(&mut model, &model_c);
+        assert_matches(&shared, &model, &format!("merge_shared, {context}"));
+        assert_eq!(
+            Arc::ptr_eq(&shared, &a),
+            model_subsumes(&model_a, &[&model_b, &model_c]),
+            "merge_shared shares the first row exactly when it subsumes the rest, {context}"
+        );
+    }
+}
+
+#[test]
+fn merge_from_an_empty_row_or_into_one() {
+    let full = Mutation::ycsb_row(3, 4).to_row(Timestamp(2));
+    let mut row = full.clone();
+    row.merge_from(&Row::new());
+    assert_eq!(row, full);
+    let mut empty = Row::new();
+    empty.merge_from(&full);
+    assert_eq!(empty, full);
+    let merged = Row::merge_shared([&Arc::new(Row::new()), &Arc::new(full.clone())].into_iter());
+    assert_eq!(*merged.unwrap(), full);
+}

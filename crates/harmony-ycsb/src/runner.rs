@@ -23,14 +23,14 @@ use harmony_sim::rng::RngFactory;
 use harmony_store::cluster::{Cluster, ClusterTotals, Completion};
 use harmony_store::config::StoreConfig;
 use harmony_store::consistency::ConsistencyLevel;
-use harmony_store::keys::KeyId;
+use harmony_store::keys::{IdMap, IdSet, KeyId};
 use harmony_store::messages::{OpId, OpKind, StoreEvent};
 use harmony_store::shard::ShardPartition;
 use harmony_store::types::{Mutation, Timestamp};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The runner's simulation event type.
@@ -389,7 +389,7 @@ impl Stripe {
 pub(crate) struct Levels {
     pub(crate) default_read: ConsistencyLevel,
     pub(crate) write: ConsistencyLevel,
-    pub(crate) hot: HashMap<KeyId, ConsistencyLevel>,
+    pub(crate) hot: IdMap<KeyId, ConsistencyLevel>,
 }
 
 impl Levels {
@@ -423,7 +423,7 @@ pub struct Runner {
     profile_name: String,
     key_chooser: KeyChooser,
     workload_rng: StdRng,
-    in_flight: HashMap<OpId, OpMeta>,
+    in_flight: IdMap<OpId, OpMeta>,
     /// Record index -> interned key id: the per-operation key lookup is a
     /// plain array index, no string formatting or hashing.
     record_ids: Vec<KeyId>,
@@ -432,7 +432,7 @@ pub struct Runner {
     /// instead of a fresh `BTreeMap` + `String` + `Vec` per operation.
     field_mutations: Vec<Arc<Mutation>>,
     /// The designated hot keys whose reads are tallied separately.
-    hot_report_keys: HashSet<KeyId>,
+    hot_report_keys: IdSet<KeyId>,
     session_active: Vec<bool>,
     current_phase: usize,
     phase_completed_ops: u64,
@@ -541,7 +541,7 @@ impl Runner {
             workload_rng: factory.stream("workload"),
             key_chooser,
             profile_name: profile.name.clone(),
-            in_flight: HashMap::new(),
+            in_flight: IdMap::default(),
             record_ids,
             field_mutations,
             hot_report_keys,
@@ -557,7 +557,7 @@ impl Runner {
             levels: Levels {
                 default_read: ConsistencyLevel::One,
                 write: ConsistencyLevel::One,
-                hot: HashMap::new(),
+                hot: IdMap::default(),
             },
             retry: RetryPolicy::default(),
             retry_ctx: HashMap::new(),
